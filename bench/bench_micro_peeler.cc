@@ -16,8 +16,8 @@
 namespace ensemfdet {
 namespace {
 
-BipartiteGraph RandomGraph(int64_t users, int64_t merchants,
-                           int64_t edges, uint64_t seed) {
+CsrGraph RandomGraph(int64_t users, int64_t merchants,
+                     int64_t edges, uint64_t seed) {
   GraphBuilder b(users, merchants);
   Rng rng(seed);
   b.Reserve(edges);
@@ -32,7 +32,7 @@ BipartiteGraph RandomGraph(int64_t users, int64_t merchants,
 
 // Reference peeler: same greedy, but finds the min-priority node by a full
 // scan each round — O(n²) node work instead of O((n + E) log n).
-double NaiveRescanPeel(const BipartiteGraph& g, const DensityConfig& cfg) {
+double NaiveRescanPeel(const CsrGraph& g, const DensityConfig& cfg) {
   const int64_t num_users = g.num_users();
   const int64_t total = g.num_nodes();
   std::vector<double> col_weight(static_cast<size_t>(g.num_merchants()));
@@ -68,8 +68,10 @@ double NaiveRescanPeel(const BipartiteGraph& g, const DensityConfig& cfg) {
     removed[static_cast<size_t>(victim)] = true;
     --alive;
     if (victim < num_users) {
-      for (EdgeId e : g.user_edges(static_cast<UserId>(victim))) {
-        const MerchantId v = g.edge(e).merchant;
+      const UserId u = static_cast<UserId>(victim);
+      const EdgeId row_begin = g.user_edge_begin(u);
+      for (EdgeId e = row_begin; e < row_begin + g.user_degree(u); ++e) {
+        const MerchantId v = g.edge_merchant(e);
         if (removed[static_cast<size_t>(num_users + v)]) continue;
         const double w = g.edge_weight(e) * col_weight[v];
         mass -= w;
@@ -77,8 +79,8 @@ double NaiveRescanPeel(const BipartiteGraph& g, const DensityConfig& cfg) {
       }
     } else {
       const MerchantId v = static_cast<MerchantId>(victim - num_users);
-      for (EdgeId e : g.merchant_edges(v)) {
-        const UserId u = g.edge(e).user;
+      for (EdgeId e : g.merchant_edge_ids(v)) {
+        const UserId u = g.edge_user(e);
         if (removed[u]) continue;
         const double w = g.edge_weight(e) * col_weight[v];
         mass -= w;

@@ -22,7 +22,7 @@ const Dataset& SharedDataset() {
 void BM_Sampler(benchmark::State& state) {
   const auto method = static_cast<SampleMethod>(state.range(0));
   const double ratio = static_cast<double>(state.range(1)) / 100.0;
-  const BipartiteGraph& g = SharedDataset().graph;
+  const CsrGraph& g = SharedDataset().graph;
   auto sampler = MakeSampler(method, ratio).ValueOrDie();
   uint64_t seed = 0;
   for (auto _ : state) {
@@ -42,7 +42,7 @@ BENCHMARK(BM_Sampler)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ExpectedDegreeTheory(benchmark::State& state) {
-  const BipartiteGraph& g = SharedDataset().graph;
+  const CsrGraph& g = SharedDataset().graph;
   auto hist = DegreeHistogram(g, Side::kUser);
   for (auto _ : state) {
     auto ns = ExpectedSampledDegreeCountsNS(hist, 0.1);

@@ -1,6 +1,6 @@
-// bench_peeling: the peeling perf baseline. Measures the adjacency-list
-// peeler vs the in-place CSR peeler (single peel + full iterated FDET) on
-// a dataset1-preset graph, verifies the two paths produce identical
+// bench_peeling: the peeling perf baseline. Measures the seed peeler vs
+// the in-place peeler (single peel + full iterated FDET) on a
+// dataset1-preset graph, verifies the two paths produce identical
 // results, and writes BENCH_peeling.json (schema: bench/README.md).
 //
 // Environment knobs: ENSEMFDET_SCALE (default 0.02), ENSEMFDET_SEED

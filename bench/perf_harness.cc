@@ -80,7 +80,7 @@ Timing Measure(const std::string& name, int repeats,
 }
 
 void AppendGraphJson(std::string* out, const PerfGraphSpec& spec,
-                     const BipartiteGraph& graph) {
+                     const CsrGraph& graph) {
   AppendF(out,
           "  \"graph\": {\"preset\": \"dataset1\", \"scale\": %.6g, "
           "\"seed\": %llu, \"users\": %lld, \"merchants\": %lld, "
@@ -176,12 +176,6 @@ std::vector<KernelRow> MeasureKernelRows(int repeats) {
     });
     rows.push_back({"count_alive", isa, t.seconds_min / denom * 1e9});
 
-    t = Measure(std::string("kernel_masked_sum_") + isa, repeats, [&] {
-      for (int it = 0; it < kInnerIters; ++it) {
-        sink += kern.masked_sum(weight.data(), alive.data(), kN);
-      }
-    });
-    rows.push_back({"masked_sum", isa, t.seconds_min / denom * 1e9});
   }
   // Publish the sink so none of the measured loops can be elided.
   static volatile double g_kernel_bench_sink;
@@ -252,39 +246,34 @@ Result<std::string> RunPeelingBench(const PeelingBenchOptions& options) {
       Dataset dataset, GenerateJdPreset(JdPreset::kDataset1,
                                         options.graph.scale,
                                         options.graph.seed));
-  const BipartiteGraph& graph = dataset.graph;
+  const CsrGraph& graph = dataset.graph;
 
   FdetConfig fdet_config;
   fdet_config.max_blocks = options.max_blocks;
   const DensityConfig density;
 
   // Untimed reference runs establish parity before anything is measured.
-  CsrGraph csr = CsrGraph::FromBipartite(graph);
   const PeelResult adjacency_peel = PeelDensestBlock(graph, density);
-  const PeelResult csr_peel = PeelDensestBlockCsr(csr, density);
+  const PeelResult csr_peel = PeelDensestBlockCsr(graph, density);
   ENSEMFDET_ASSIGN_OR_RETURN(const FdetResult adjacency_fdet,
                              RunFdetReference(graph, fdet_config));
   ENSEMFDET_ASSIGN_OR_RETURN(const FdetResult csr_fdet,
-                             RunFdetCsr(csr, fdet_config));
+                             RunFdet(graph, fdet_config));
   const bool peel_identical = SamePeel(adjacency_peel, csr_peel);
   const bool fdet_identical = SameFdet(adjacency_fdet, csr_fdet);
   if (!peel_identical || !fdet_identical) {
     return Status::Internal(
-        "CSR peeler diverged from the adjacency-list peeler on the bench "
+        "in-place peeler diverged from the seed peeler on the bench "
         "graph — refusing to emit BENCH_peeling.json");
   }
 
   std::vector<Timing> timings;
-  timings.push_back(Measure("csr_convert", options.repeats, [&] {
-    CsrGraph converted = CsrGraph::FromBipartite(graph);
-    (void)converted;
-  }));
   timings.push_back(Measure("adjacency_single_peel", options.repeats, [&] {
     PeelResult r = PeelDensestBlock(graph, density);
     (void)r;
   }));
   timings.push_back(Measure("csr_single_peel", options.repeats, [&] {
-    PeelResult r = PeelDensestBlockCsr(csr, density);
+    PeelResult r = PeelDensestBlockCsr(graph, density);
     (void)r;
   }));
   timings.push_back(Measure("adjacency_fdet", options.repeats, [&] {
@@ -292,12 +281,12 @@ Result<std::string> RunPeelingBench(const PeelingBenchOptions& options) {
     (void)r;
   }));
   timings.push_back(Measure("csr_fdet", options.repeats, [&] {
-    FdetResult r = RunFdetCsr(csr, fdet_config).ValueOrDie();
+    FdetResult r = RunFdet(graph, fdet_config).ValueOrDie();
     (void)r;
   }));
 
-  const double peel_speedup = timings[1].seconds_min / timings[2].seconds_min;
-  const double fdet_speedup = timings[3].seconds_min / timings[4].seconds_min;
+  const double peel_speedup = timings[0].seconds_min / timings[1].seconds_min;
+  const double fdet_speedup = timings[2].seconds_min / timings[3].seconds_min;
 
   std::string out;
   out.append("{\n");
@@ -329,9 +318,8 @@ Result<std::string> RunStorageBench(const StorageBenchOptions& options,
       Dataset dataset, GenerateJdPreset(JdPreset::kDataset1,
                                         options.graph.scale,
                                         options.graph.seed));
-  const BipartiteGraph& graph = dataset.graph;
-  const CsrGraph csr = CsrGraph::FromBipartite(graph);
-  const uint64_t source_fingerprint = FingerprintGraph(csr);
+  const CsrGraph& graph = dataset.graph;
+  const uint64_t source_fingerprint = FingerprintGraph(graph);
 
   // Scratch files. Both loads are timed against the page cache warm (the
   // files were just written), which is the registry warm-start scenario
@@ -347,7 +335,7 @@ Result<std::string> RunStorageBench(const StorageBenchOptions& options,
   const std::string efg_path =
       (dir / "ensemfdet_bench_storage.efg").string();
   ENSEMFDET_RETURN_NOT_OK(SaveEdgeListTsv(graph, tsv_path));
-  ENSEMFDET_RETURN_NOT_OK(storage::WriteCsrGraphSnapshot(csr, efg_path));
+  ENSEMFDET_RETURN_NOT_OK(storage::WriteCsrGraphSnapshot(graph, efg_path));
   const double tsv_bytes =
       static_cast<double>(std::filesystem::file_size(tsv_path, ec));
   const double efg_bytes =
@@ -372,7 +360,7 @@ Result<std::string> RunStorageBench(const StorageBenchOptions& options,
 
   std::vector<Timing> timings;
   timings.push_back(Measure("tsv_parse", options.repeats, [&] {
-    BipartiteGraph g = LoadEdgeListTsv(tsv_path).ValueOrDie();
+    CsrGraph g = LoadEdgeListTsv(tsv_path).ValueOrDie();
     (void)g;
   }));
   timings.push_back(Measure("binary_read", options.repeats, [&] {
@@ -438,11 +426,9 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
       Dataset dataset, GenerateJdPreset(JdPreset::kDataset1,
                                         options.graph.scale,
                                         options.graph.seed));
-  const BipartiteGraph& graph = dataset.graph;
-  // The hot path runs over the shared CSR form, built once — matching how
-  // the service serves jobs (GraphSnapshot materializes the CSR at
-  // Publish); only the reference path pays per-member materialization.
-  const CsrGraph csr = CsrGraph::FromBipartite(graph);
+  // The hot path runs over the shared graph — matching how the service
+  // serves jobs; only the reference path pays per-member materialization.
+  const CsrGraph& graph = dataset.graph;
 
   EnsemFDetConfig config;
   config.num_samples = options.num_samples;
@@ -475,7 +461,7 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
   // Untimed parity gate: the zero-materialization hot path must reproduce
   // the materializing reference bit for bit before anything is measured —
   // a BENCH_ensemble.json is also a correctness witness.
-  ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport hot, detector.Run(csr, pool));
+  ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport hot, detector.Run(graph, pool));
   ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport reference,
                              detector.RunReference(graph, pool));
   bool votes_identical =
@@ -525,7 +511,7 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
     simd::ScopedIsaLevel forced(level);
     if (!forced.ok()) continue;
     ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport leveled,
-                               detector.Run(csr, pool));
+                               detector.Run(graph, pool));
     isa_vote_identity = isa_vote_identity && SameEnsembleReports(leveled, hot);
   }
   if (!isa_vote_identity) {
@@ -537,7 +523,7 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
   for (size_t w = 0; w < scaling_widths.size(); ++w) {
     ENSEMFDET_ASSIGN_OR_RETURN(
         EnsemFDetReport at_width,
-        detector.Run(csr, scaling_pools[w].get()));
+        detector.Run(graph, scaling_pools[w].get()));
     width_vote_identity =
         width_vote_identity && SameEnsembleReports(at_width, hot);
   }
@@ -552,7 +538,7 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
 
   std::vector<Timing> timings;
   timings.push_back(Measure("ensemble_run", options.repeats, [&] {
-    EnsemFDetReport r = detector.Run(csr, pool).ValueOrDie();
+    EnsemFDetReport r = detector.Run(graph, pool).ValueOrDie();
     (void)r;
   }));
   // One timed arm per scaling width (width 1 = the serial loop, exactly
@@ -563,7 +549,7 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
     scaling_timings.push_back(Measure(
         "ensemble_run_threads_" + std::to_string(scaling_widths[w]),
         options.repeats, [&] {
-          EnsemFDetReport r = detector.Run(csr, width_pool).ValueOrDie();
+          EnsemFDetReport r = detector.Run(graph, width_pool).ValueOrDie();
           (void)r;
         }));
   }
@@ -576,7 +562,7 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
 
   // Arena-reuse stats from one more (untimed) fully warm run.
   ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport stats_run,
-                             detector.Run(csr, pool));
+                             detector.Run(graph, pool));
   int64_t arena_grow_events = 0;
   for (const auto& m : stats_run.members) {
     arena_grow_events += m.arena_grow_events;
@@ -694,7 +680,7 @@ Result<std::string> RunObsBench(const ObsBenchOptions& options,
       Dataset dataset, GenerateJdPreset(JdPreset::kDataset1,
                                         options.graph.scale,
                                         options.graph.seed));
-  const CsrGraph csr = CsrGraph::FromBipartite(dataset.graph);
+  const CsrGraph& graph = dataset.graph;
 
   EnsemFDetConfig config;
   config.num_samples = options.num_samples;
@@ -731,10 +717,10 @@ Result<std::string> RunObsBench(const ObsBenchOptions& options,
   // instrumentation, so a divergence refuses to emit.
   obs::SetMetricsRuntimeEnabled(true);
   ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport report_on,
-                             detector.Run(csr, nullptr));
+                             detector.Run(graph, nullptr));
   obs::SetMetricsRuntimeEnabled(false);
   ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport report_off,
-                             detector.Run(csr, nullptr));
+                             detector.Run(graph, nullptr));
   const bool reports_identical = SameEnsembleReports(report_on, report_off);
   if (!reports_identical) {
     return Status::Internal(
@@ -768,7 +754,7 @@ Result<std::string> RunObsBench(const ObsBenchOptions& options,
   const auto timed_run = [&](bool metrics_on) {
     obs::SetMetricsRuntimeEnabled(metrics_on);
     WallTimer timer;
-    (void)detector.Run(csr, nullptr).ValueOrDie();
+    (void)detector.Run(graph, nullptr).ValueOrDie();
     return timer.ElapsedSeconds();
   };
   for (int i = 0; i < repeats; ++i) {

@@ -8,9 +8,9 @@
 //
 // Every measurement reports min/mean wall-clock over `repeats` runs
 // (min is the headline: least scheduler noise). The peeling bench also
-// *verifies* CSR-vs-adjacency parity on the bench graph and fails with
-// Internal if results diverge — a malformed or lying BENCH_peeling.json
-// can't be produced.
+// *verifies* in-place-vs-seed peeler parity on the bench graph and fails
+// with Internal if results diverge — a malformed or lying
+// BENCH_peeling.json can't be produced.
 #ifndef ENSEMFDET_BENCH_PERF_HARNESS_H_
 #define ENSEMFDET_BENCH_PERF_HARNESS_H_
 
@@ -148,9 +148,11 @@ struct WalBenchSummary {
   bool replay_identical = false;
 };
 
-/// Runs the peeling bench (adjacency vs CSR, single peel + full FDET) and
-/// returns the BENCH_peeling.json document. Fails with Internal if the
-/// CSR path's results are not identical to the adjacency path's.
+/// Runs the peeling bench (the seed peeler and materializing FDET — the
+/// `adjacency_*` rows — vs the in-place peeler and FDET — the `csr_*` rows;
+/// single peel + full FDET, all on the same graph) and returns the
+/// BENCH_peeling.json document. Fails with Internal if the in-place
+/// results are not identical to the seed's.
 Result<std::string> RunPeelingBench(const PeelingBenchOptions& options);
 
 /// Runs the storage bench and returns the BENCH_storage.json document

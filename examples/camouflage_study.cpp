@@ -23,7 +23,7 @@ namespace {
 // level (extra popular-merchant edges per fraud user), and background
 // traffic. Returns (graph, blacklist of planted users).
 struct Scenario {
-  BipartiteGraph graph;
+  CsrGraph graph;
   LabelSet planted;
 };
 

@@ -20,7 +20,7 @@ using namespace ensemfdet;
 int main() {
   const double scale = GetEnvDouble("ENSEMFDET_SCALE", 0.01);
   auto data = GenerateJdPreset(JdPreset::kDataset3, scale, 99).ValueOrDie();
-  const BipartiteGraph& g = data.graph;
+  const CsrGraph& g = data.graph;
 
   DegreeStats user_stats = ComputeDegreeStats(g, Side::kUser);
   DegreeStats merchant_stats = ComputeDegreeStats(g, Side::kMerchant);

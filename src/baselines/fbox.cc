@@ -6,7 +6,7 @@
 
 namespace ensemfdet {
 
-Result<FboxResult> RunFbox(const BipartiteGraph& graph,
+Result<FboxResult> RunFbox(const CsrGraph& graph,
                            const FboxConfig& config) {
   if (config.num_components < 1) {
     return Status::InvalidArgument("num_components must be >= 1");
@@ -42,7 +42,13 @@ Result<FboxResult> RunFbox(const BipartiteGraph& graph,
   }
 
   for (int64_t i = 0; i < num_users; ++i) {
-    const double degree = graph.user_weighted_degree(static_cast<UserId>(i));
+    // Weighted degree: the user's row of edge weights, in edge-id order.
+    const UserId u = static_cast<UserId>(i);
+    const EdgeId row_begin = graph.user_edge_begin(u);
+    double degree = 0.0;
+    for (EdgeId e = row_begin; e < row_begin + graph.user_degree(u); ++e) {
+      degree += graph.edge_weight(e);
+    }
     if (degree <= 0.0) continue;  // isolated users cannot be suspicious
     result.user_scores[static_cast<size_t>(i)] =
         std::sqrt(degree) /

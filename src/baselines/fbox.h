@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 #include "linalg/svd.h"
 
 namespace ensemfdet {
@@ -41,7 +41,7 @@ struct FboxResult {
 
 /// Runs FBOX on the graph's adjacency matrix. Fails with InvalidArgument on
 /// an edgeless graph or num_components < 1.
-Result<FboxResult> RunFbox(const BipartiteGraph& graph,
+Result<FboxResult> RunFbox(const CsrGraph& graph,
                            const FboxConfig& config);
 
 }  // namespace ensemfdet

@@ -34,19 +34,10 @@ FdetConfig FraudarFdetConfig(const FraudarConfig& config) {
 
 }  // namespace
 
-Result<FraudarResult> RunFraudar(const BipartiteGraph& graph,
-                                 const FraudarConfig& config) {
-  ENSEMFDET_ASSIGN_OR_RETURN(FdetResult result,
-                             RunFdet(graph, FraudarFdetConfig(config)));
-  FraudarResult out;
-  out.blocks = std::move(result.blocks);
-  return out;
-}
-
 Result<FraudarResult> RunFraudar(const CsrGraph& graph,
                                  const FraudarConfig& config) {
   ENSEMFDET_ASSIGN_OR_RETURN(FdetResult result,
-                             RunFdetCsr(graph, FraudarFdetConfig(config)));
+                             RunFdet(graph, FraudarFdetConfig(config)));
   FraudarResult out;
   out.blocks = std::move(result.blocks);
   return out;

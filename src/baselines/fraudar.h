@@ -19,7 +19,7 @@
 
 #include "common/status.h"
 #include "detect/fdet.h"
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 
@@ -41,12 +41,6 @@ struct FraudarResult {
 };
 
 /// Runs FRAUDAR on the full graph (no sampling, no truncation).
-Result<FraudarResult> RunFraudar(const BipartiteGraph& graph,
-                                 const FraudarConfig& config);
-
-/// CSR overload: identical results over an already-converted graph (the
-/// service layer passes the snapshot's shared CsrGraph so baseline jobs
-/// skip the per-job conversion).
 Result<FraudarResult> RunFraudar(const CsrGraph& graph,
                                  const FraudarConfig& config);
 

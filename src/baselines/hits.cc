@@ -6,7 +6,7 @@
 
 namespace ensemfdet {
 
-Result<HitsResult> RunHits(const BipartiteGraph& graph,
+Result<HitsResult> RunHits(const CsrGraph& graph,
                            const HitsConfig& config) {
   if (config.iterations < 1) {
     return Status::InvalidArgument("HITS needs iterations >= 1");
@@ -27,9 +27,9 @@ Result<HitsResult> RunHits(const BipartiteGraph& graph,
     // authority(v) = Σ_{u ~ v} w_uv · hub(u)
     for (int64_t v = 0; v < num_merchants; ++v) {
       double sum = 0.0;
-      for (EdgeId e :
-           graph.merchant_edges(static_cast<MerchantId>(v))) {
-        sum += graph.edge_weight(e) * result.user_hub_scores[graph.edge(e).user];
+      for (EdgeId e : graph.merchant_edge_ids(static_cast<MerchantId>(v))) {
+        sum +=
+            graph.edge_weight(e) * result.user_hub_scores[graph.edge_user(e)];
       }
       result.merchant_authority_scores[static_cast<size_t>(v)] = sum;
     }
@@ -41,9 +41,12 @@ Result<HitsResult> RunHits(const BipartiteGraph& graph,
     // hub(u) = Σ_{v ~ u} w_uv · authority(v)
     for (int64_t u = 0; u < num_users; ++u) {
       double sum = 0.0;
-      for (EdgeId e : graph.user_edges(static_cast<UserId>(u))) {
+      const EdgeId row_begin = graph.user_edge_begin(static_cast<UserId>(u));
+      const EdgeId row_end =
+          row_begin + graph.user_degree(static_cast<UserId>(u));
+      for (EdgeId e = row_begin; e < row_end; ++e) {
         sum += graph.edge_weight(e) *
-               result.merchant_authority_scores[graph.edge(e).merchant];
+               result.merchant_authority_scores[graph.edge_merchant(e)];
       }
       result.user_hub_scores[static_cast<size_t>(u)] = sum;
     }

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 
@@ -36,7 +36,7 @@ struct HitsResult {
 
 /// Runs HITS on the graph. Fails with InvalidArgument on an edgeless graph
 /// or non-positive iteration budget.
-Result<HitsResult> RunHits(const BipartiteGraph& graph,
+Result<HitsResult> RunHits(const CsrGraph& graph,
                            const HitsConfig& config = {});
 
 }  // namespace ensemfdet

@@ -7,7 +7,7 @@
 
 namespace ensemfdet {
 
-Result<SpokenResult> RunSpoken(const BipartiteGraph& graph,
+Result<SpokenResult> RunSpoken(const CsrGraph& graph,
                                const SpokenConfig& config) {
   if (config.num_components < 1) {
     return Status::InvalidArgument("num_components must be >= 1");

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 #include "linalg/svd.h"
 
 namespace ensemfdet {
@@ -40,7 +40,7 @@ struct SpokenResult {
 
 /// Runs SPOKEN on the graph's adjacency matrix. Fails with InvalidArgument
 /// on an edgeless graph or num_components < 1.
-Result<SpokenResult> RunSpoken(const BipartiteGraph& graph,
+Result<SpokenResult> RunSpoken(const CsrGraph& graph,
                                const SpokenConfig& config);
 
 }  // namespace ensemfdet

@@ -5,11 +5,12 @@
 //  - Tasks are type-erased std::function<void()>; callers wanting results
 //    use Submit() which wraps the callable in a std::packaged_task and
 //    returns a std::future.
-//  - ParallelFor partitions [begin, end) into contiguous chunks; each chunk
-//    index is deterministic, so randomized workloads that Split() their RNG
-//    by item index produce identical results at any thread count — this is
-//    what makes the ensemble's output independent of parallelism, a property
-//    tested in ensemble tests.
+//  - ParallelFor is the one parallel loop: a work-stealing split of
+//    [begin, end) across the caller and the pool's workers. Items are
+//    identified by index, so randomized workloads that Split() their RNG by
+//    item index produce identical results at any thread count — this is
+//    what makes the ensemble's output independent of parallelism, a
+//    property tested in ensemble tests.
 #ifndef ENSEMFDET_COMMON_THREAD_POOL_H_
 #define ENSEMFDET_COMMON_THREAD_POOL_H_
 
@@ -48,30 +49,24 @@ class ThreadPool {
     return fut;
   }
 
-  /// Runs fn(i) for every i in [begin, end), distributing items across the
-  /// pool, and blocks until all complete. fn must be safe to invoke
-  /// concurrently for distinct i. Exceptions propagate from the first
-  /// failing item (rethrown on the calling thread).
+  /// Runs fn(i) for every i in [begin, end) and blocks until all complete.
+  /// fn must be safe to invoke concurrently for distinct i.
+  ///
+  /// Work stealing: each participant (the caller plus up to num_threads()
+  /// pool helpers) owns a deque seeded with a contiguous slice of
+  /// [begin, end); owners claim items off their own front, and a
+  /// participant that runs dry steals the upper half of a victim's back
+  /// range, so a skewed cost distribution (ensemble members, residual
+  /// components) is rebalanced instead of stranded on one worker. The
+  /// caller participates, so calling from a worker cannot deadlock the
+  /// pool. The first failing item's exception is rethrown on the calling
+  /// thread after the remaining items complete. Helpers ride the normal
+  /// Enqueue path, so the causal-trace shape is identical at every width
+  /// (detached pool_task wrappers only). Deterministic outputs are the
+  /// caller's job: fn(i) must depend only on i, never on which thread or
+  /// in which order items run.
   void ParallelFor(int64_t begin, int64_t end,
                    const std::function<void(int64_t)>& fn);
-
-  /// ParallelFor with work stealing: each participant (the caller plus up
-  /// to num_threads() pool helpers) owns a deque seeded with a contiguous
-  /// slice of [begin, end); owners claim items off their own front, and a
-  /// participant that runs dry steals the upper half of a victim's back
-  /// range. Use instead of ParallelFor when per-item cost is heavy and
-  /// skewed (ensemble members, residual components): a static split
-  /// strands the tail of a skewed distribution on one worker, stealing
-  /// rebalances it. Same contract otherwise: caller participates (safe to
-  /// call from a worker), blocks until all items complete, first failing
-  /// item's exception rethrown on the calling thread. Helpers ride the
-  /// normal Enqueue path, so the causal-trace shape is identical to
-  /// ParallelFor's at every width (detached pool_task wrappers only).
-  /// Deterministic outputs are the caller's job, exactly as with
-  /// ParallelFor: fn(i) must depend only on i, never on which thread or
-  /// in which order items run.
-  void ParallelForWorkStealing(int64_t begin, int64_t end,
-                               const std::function<void(int64_t)>& fn);
 
   /// Blocks until every task enqueued so far has finished.
   void WaitIdle();

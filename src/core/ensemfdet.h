@@ -25,10 +25,9 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 
-// Bipartite graph substrate.
-#include "graph/bipartite_graph.h"
-#include "graph/components.h"
+// The bipartite graph (CsrGraph) and its algorithms.
 #include "graph/csr_graph.h"
+#include "graph/components.h"
 #include "graph/fingerprint.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
@@ -40,8 +39,8 @@
 #include "sampling/sampler.h"
 #include "sampling/sampling_theory.h"
 
-// Detection core: density score φ, greedy peeling (adjacency + in-place
-// CSR), FDET.
+// Detection core: density score φ, greedy peeling (seed referee +
+// in-place), FDET.
 #include "detect/csr_peeler.h"
 #include "detect/density.h"
 #include "detect/fdet.h"

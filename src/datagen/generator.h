@@ -24,7 +24,7 @@
 
 #include "common/status.h"
 #include "eval/labels.h"
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 
@@ -82,7 +82,7 @@ struct DataGenConfig {
 /// planted truth (for tests that must not depend on label noise).
 struct Dataset {
   std::string name;
-  BipartiteGraph graph;
+  CsrGraph graph;
   /// Evaluation ground truth (blacklist with misses and noise applied).
   LabelSet blacklist;
   /// Exact planted fraud users, ascending.

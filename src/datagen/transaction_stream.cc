@@ -39,7 +39,7 @@ Result<std::vector<Transaction>> BuildTransactionStream(
   std::vector<Transaction> events;
   events.reserve(static_cast<size_t>(dataset.graph.num_edges()));
   for (EdgeId e = 0; e < dataset.graph.num_edges(); ++e) {
-    const Edge& edge = dataset.graph.edge(e);
+    const Edge edge = dataset.graph.edge(e);
     Transaction tx;
     tx.user = edge.user;
     tx.merchant = edge.merchant;

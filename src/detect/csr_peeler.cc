@@ -540,8 +540,8 @@ PeelResult CsrPeeler::Peel(std::span<const EdgeId> residual_edges,
 
   // Per-edge suspiciousness mass plus node priorities and total mass,
   // accumulated in ascending-EdgeId order (== the compacted subgraph's
-  // edge-id order) so every floating-point sum matches the adjacency-list
-  // peeler bit for bit. `weight * scale` with scale == 1.0 is exact, so
+  // edge-id order) so every floating-point sum matches the seed peeler
+  // bit for bit. `weight * scale` with scale == 1.0 is exact, so
   // the unscaled path is unchanged bitwise.
   double mass = 0.0;
   for (EdgeId e : residual_edges) {

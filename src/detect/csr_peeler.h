@@ -1,7 +1,7 @@
 // CSR-native greedy densest-block peeling (the FRAUDAR-style greedy of
 // paper Algorithm 1, lines 3-8) that peels **in place** over an immutable
 // CsrGraph plus an alive-edge set, instead of materializing a compacted
-// BipartiteGraph per call.
+// subgraph per call.
 //
 // This is what makes iterated FDET cheap: each block iteration used to
 // rebuild a subgraph (sort + two hash maps + two CSR constructions) just
@@ -27,8 +27,8 @@
 // the identical order as the seed PeelDensestBlock over the compacted
 // subgraph (same per-node accumulation order, same heap insertion order,
 // same smaller-id tie-breaks under the order-isomorphic id relabeling),
-// so scores, block node sets, traces, and removal orders match the
-// adjacency-list peeler exactly. tests/csr_parity_test.cc and
+// so scores, block node sets, traces, and removal orders match the seed
+// peeler exactly. tests/csr_parity_test.cc and
 // tests/ensemble_parity_test.cc pin this.
 #ifndef ENSEMFDET_DETECT_CSR_PEELER_H_
 #define ENSEMFDET_DETECT_CSR_PEELER_H_
@@ -129,7 +129,7 @@ class PeelHeap {
 /// denominator and appear in the removal order).
 enum class PeelNodeScope {
   /// Every node of the graph, isolated ones included — the semantics of
-  /// the standalone adjacency-list PeelDensestBlock.
+  /// the standalone seed PeelDensestBlock.
   kAllNodes,
   /// Only nodes incident to at least one residual edge — the semantics of
   /// FDET's per-iteration compacted subgraphs (isolated nodes never make
@@ -294,8 +294,8 @@ class CsrPeeler {
 };
 
 /// One-shot CSR peel of the whole graph, kAllNodes scope: produces results
-/// bit-identical to `PeelDensestBlock(graph.ToBipartite(), ...)` (trace
-/// and removal order included).
+/// bit-identical to the seed `PeelDensestBlock(graph, ...)` (trace and
+/// removal order included).
 PeelResult PeelDensestBlockCsr(const CsrGraph& graph,
                                const DensityConfig& config,
                                bool keep_trace = false);

@@ -33,21 +33,21 @@ double MerchantColumnWeight(double degree, const DensityConfig& config) {
   return 1.0;
 }
 
-double SuspiciousnessMass(const BipartiteGraph& graph,
+double SuspiciousnessMass(const CsrGraph& graph,
                           const DensityConfig& config) {
   double mass = 0.0;
   for (int64_t v = 0; v < graph.num_merchants(); ++v) {
     const MerchantId m = static_cast<MerchantId>(v);
     const double col_weight = MerchantColumnWeight(
         static_cast<double>(graph.merchant_degree(m)), config);
-    for (EdgeId e : graph.merchant_edges(m)) {
+    for (EdgeId e : graph.merchant_edge_ids(m)) {
       mass += graph.edge_weight(e) * col_weight;
     }
   }
   return mass;
 }
 
-double DensityScore(const BipartiteGraph& graph,
+double DensityScore(const CsrGraph& graph,
                     const DensityConfig& config) {
   const int64_t nodes = graph.num_nodes();
   if (nodes == 0) return 0.0;

@@ -16,7 +16,7 @@
 #ifndef ENSEMFDET_DETECT_DENSITY_H_
 #define ENSEMFDET_DETECT_DENSITY_H_
 
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 
@@ -47,11 +47,11 @@ double MerchantColumnWeight(double degree, const DensityConfig& config);
 
 /// Total suspiciousness mass f(G) = Σ_e w_e / log(c + d_{merchant(e)}),
 /// with d taken from `graph` itself.
-double SuspiciousnessMass(const BipartiteGraph& graph,
+double SuspiciousnessMass(const CsrGraph& graph,
                           const DensityConfig& config);
 
 /// φ(G) = f(G) / (|U| + |V|). Returns 0 for a graph with no nodes.
-double DensityScore(const BipartiteGraph& graph, const DensityConfig& config);
+double DensityScore(const CsrGraph& graph, const DensityConfig& config);
 
 }  // namespace ensemfdet
 

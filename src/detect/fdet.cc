@@ -114,14 +114,6 @@ int AutoTruncationIndex(const std::vector<double>& scores) {
   return best_i + 1;  // convert to 1-indexed block count
 }
 
-Result<FdetResult> RunFdet(const BipartiteGraph& graph,
-                           const FdetConfig& config) {
-  // Validate before the O(|U|+|V|+|E|) CSR conversion so a bad config
-  // fails as cheaply as it did in the seed implementation.
-  ENSEMFDET_RETURN_NOT_OK(ValidateFdetConfig(config));
-  return RunFdetCsr(CsrGraph::FromBipartite(graph), config);
-}
-
 namespace {
 
 // True when the Algorithm 1 loop may stop exploring: online truncation —
@@ -299,8 +291,7 @@ FdetResult RunFdetInView(const CsrGraph& graph,
 
 }  // namespace
 
-Result<FdetResult> RunFdetCsr(const CsrGraph& graph,
-                              const FdetConfig& config) {
+Result<FdetResult> RunFdet(const CsrGraph& graph, const FdetConfig& config) {
   ENSEMFDET_RETURN_NOT_OK(ValidateFdetConfig(config));
   PeelScratch scratch;
   scratch.Prepare(graph);
@@ -325,7 +316,7 @@ Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
                        scratch);
 }
 
-Result<FdetResult> RunFdetReference(const BipartiteGraph& graph,
+Result<FdetResult> RunFdetReference(const CsrGraph& graph,
                                     const FdetConfig& config) {
   ENSEMFDET_RETURN_NOT_OK(ValidateFdetConfig(config));
 
@@ -369,7 +360,7 @@ Result<FdetResult> RunFdetReference(const BipartiteGraph& graph,
     std::vector<EdgeId> next;
     next.reserve(remaining.size());
     for (EdgeId e : remaining) {
-      const Edge& edge = graph.edge(e);
+      const Edge edge = graph.edge(e);
       const bool inside = SortedContains(added.users, edge.user) &&
                           SortedContains(added.merchants, edge.merchant);
       if (inside) {

@@ -16,7 +16,6 @@
 #include "common/status.h"
 #include "detect/csr_peeler.h"
 #include "detect/density.h"
-#include "graph/bipartite_graph.h"
 #include "graph/csr_graph.h"
 
 namespace ensemfdet {
@@ -79,37 +78,25 @@ struct FdetResult {
 /// into background noise, so the cliff is interior in practice.
 int AutoTruncationIndex(const std::vector<double>& scores);
 
-/// Runs FDET on `graph`. Fails with InvalidArgument on nonsensical
-/// configuration (max_blocks < 1, fixed_k < 1, log_offset ≤ 1).
-///
-/// Internally converts once to CSR form and runs RunFdetCsr — one O(|E|)
-/// conversion per call, then in-place peeling with no per-block subgraph
-/// rebuilds.
+/// Runs FDET on `graph`: iterated in-place peeling over the shared
+/// immutable graph (see detect/csr_peeler.h). The per-iteration residual
+/// is an edge-id subset; no subgraph is ever materialized. Node/edge ids
+/// in the result are `graph`'s own. Fails with InvalidArgument on
+/// nonsensical configuration (max_blocks < 1, fixed_k < 1,
+/// log_offset ≤ 1).
 ///
 /// @post Result blocks are in detection order with pairwise-disjoint,
 ///       nonempty `edges` lists (ids into `graph`); block node lists are
-///       ascending. Output is bit-identical to RunFdetReference.
+///       ascending. Output is bit-identical to RunFdetReference (pinned by
+///       tests/csr_parity_test.cc).
 /// @note Thread-safety: pure function of an immutable graph — safe to run
 ///       concurrently on the same graph from many threads (each call owns
 ///       its scratch).
-Result<FdetResult> RunFdet(const BipartiteGraph& graph,
-                           const FdetConfig& config);
-
-/// CSR-native FDET: iterated in-place peeling over a shared immutable
-/// CsrGraph (see detect/csr_peeler.h). The per-iteration residual is an
-/// edge-id subset; no subgraph is ever materialized. Node/edge ids in the
-/// result are `graph`'s own.
-///
-/// @pre `graph` came from CsrGraph::FromBipartite (canonical edge order).
-/// @post Bit-identical results to RunFdetReference on the equivalent
-///       adjacency-list graph (pinned by tests/csr_parity_test.cc).
-/// @note Thread-safety: `graph` is only read; concurrent calls are safe.
-Result<FdetResult> RunFdetCsr(const CsrGraph& graph,
-                              const FdetConfig& config);
+Result<FdetResult> RunFdet(const CsrGraph& graph, const FdetConfig& config);
 
 /// Zero-materialization FDET over a *residual edge subset* of a shared
 /// immutable parent graph — the ensemble hot-loop entry point. Runs the
-/// exact Algorithm 1 loop of RunFdetCsr, but starting from
+/// exact Algorithm 1 loop of RunFdet, but starting from
 /// `initial_residual` instead of the whole edge set, scaling every edge
 /// weight by `weight_scale` on the fly (Theorem 1's 1/p reweighting
 /// without a reweighted copy), and drawing every buffer from `scratch` so
@@ -118,12 +105,11 @@ Result<FdetResult> RunFdetCsr(const CsrGraph& graph,
 /// Bit-exactness: for a sampled edge set, the output blocks/scores/counts
 /// are identical — under the order-isomorphic id relabeling — to
 /// materializing the child subgraph over those edges (weights
-/// pre-scaled), converting it to CSR, and running RunFdetCsr on it; node
+/// pre-scaled) and running RunFdet on it; node
 /// and edge ids in the result are the *parent's* own, so no remapping
 /// step exists. tests/ensemble_parity_test.cc pins this end to end.
 ///
-/// @pre `graph` came from CsrGraph::FromBipartite (canonical edge order);
-///      `initial_residual` is ascending and duplicate-free;
+/// @pre `initial_residual` is ascending and duplicate-free;
 ///      `weight_scale` > 0; `scratch` != nullptr.
 /// @note Thread-safety: `graph` is only read; `scratch` is mutable — one
 ///       arena per thread.
@@ -134,9 +120,10 @@ Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
                                     PeelScratch* scratch);
 
 /// The seed implementation (rebuilds a compacted subgraph per block
-/// iteration). Kept as the parity/performance reference for
-/// tests/csr_parity_test.cc and bench/bench_peeling.cc — prefer RunFdet.
-Result<FdetResult> RunFdetReference(const BipartiteGraph& graph,
+/// iteration and peels it with PeelDensestBlock). Kept as the
+/// parity/performance reference for tests/csr_parity_test.cc and
+/// bench/bench_peeling.cc — prefer RunFdet.
+Result<FdetResult> RunFdetReference(const CsrGraph& graph,
                                     const FdetConfig& config);
 
 }  // namespace ensemfdet

@@ -8,7 +8,7 @@
 
 namespace ensemfdet {
 
-PeelResult PeelDensestBlock(const BipartiteGraph& graph,
+PeelResult PeelDensestBlock(const CsrGraph& graph,
                             const DensityConfig& config, bool keep_trace) {
   PeelResult result;
   const int64_t num_users = graph.num_users();
@@ -24,8 +24,7 @@ PeelResult PeelDensestBlock(const BipartiteGraph& graph,
         config);
   }
   auto edge_mass = [&](EdgeId e) {
-    return graph.edge_weight(e) *
-           col_weight[graph.edge(e).merchant];
+    return graph.edge_weight(e) * col_weight[graph.edge_merchant(e)];
   };
 
   // Node priorities = each node's share of the suspiciousness mass: the
@@ -33,7 +32,7 @@ PeelResult PeelDensestBlock(const BipartiteGraph& graph,
   std::vector<double> priority(static_cast<size_t>(total_nodes), 0.0);
   double mass = 0.0;
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const Edge& edge = graph.edge(e);
+    const Edge edge = graph.edge(e);
     const double w = edge_mass(e);
     priority[edge.user] += w;
     priority[static_cast<size_t>(num_users) + edge.merchant] += w;
@@ -70,8 +69,9 @@ PeelResult PeelDensestBlock(const BipartiteGraph& graph,
 
     if (victim < num_users) {
       const UserId u = static_cast<UserId>(victim);
-      for (EdgeId e : graph.user_edges(u)) {
-        const MerchantId v = graph.edge(e).merchant;
+      const EdgeId row_begin = graph.user_edge_begin(u);
+      for (EdgeId e = row_begin; e < row_begin + graph.user_degree(u); ++e) {
+        const MerchantId v = graph.edge_merchant(e);
         const int64_t other = num_users + v;
         if (removed[static_cast<size_t>(other)]) continue;  // edge dead
         const double w = edge_mass(e);
@@ -80,8 +80,8 @@ PeelResult PeelDensestBlock(const BipartiteGraph& graph,
       }
     } else {
       const MerchantId v = static_cast<MerchantId>(victim - num_users);
-      for (EdgeId e : graph.merchant_edges(v)) {
-        const UserId u = graph.edge(e).user;
+      for (EdgeId e : graph.merchant_edge_ids(v)) {
+        const UserId u = graph.edge_user(e);
         if (removed[u]) continue;
         const double w = edge_mass(e);
         mass -= w;

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "detect/density.h"
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 
@@ -42,10 +42,11 @@ struct PeelResult {
 /// @note Thread-safety: pure function of an immutable graph — safe to
 ///       call concurrently on the same graph. Deterministic: equal-
 ///       priority ties break toward the smaller packed node id.
-/// @note This is the seed adjacency-list implementation; the hot path
-///       uses the bit-exact in-place CSR rewrite in detect/csr_peeler.h
-///       (PeelDensestBlockCsr), which this remains the reference for.
-PeelResult PeelDensestBlock(const BipartiteGraph& graph,
+/// @note This is the seed implementation (fresh heap and flags per call,
+///       EdgeId-indirect neighbor walks); the hot path uses the bit-exact
+///       in-place rewrite in detect/csr_peeler.h (PeelDensestBlockCsr),
+///       which this remains the reference for.
+PeelResult PeelDensestBlock(const CsrGraph& graph,
                             const DensityConfig& config,
                             bool keep_trace = false);
 

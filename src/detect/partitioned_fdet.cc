@@ -3,30 +3,12 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/logging.h"
 #include "graph/components.h"
 #include "graph/subgraph.h"
 
 namespace ensemfdet {
 
-namespace {
-
-// Parent edge id of (user, merchant); the pair must exist.
-EdgeId ParentEdgeId(const BipartiteGraph& parent, UserId user,
-                    MerchantId merchant) {
-  auto span = parent.user_edges(user);
-  auto it = std::lower_bound(span.begin(), span.end(), merchant,
-                             [&parent](EdgeId e, MerchantId m) {
-                               return parent.edge(e).merchant < m;
-                             });
-  ENSEMFDET_CHECK(it != span.end() && parent.edge(*it).merchant == merchant)
-      << "component edge missing from parent";
-  return *it;
-}
-
-}  // namespace
-
-Result<FdetResult> RunPartitionedFdet(const BipartiteGraph& graph,
+Result<FdetResult> RunPartitionedFdet(const CsrGraph& graph,
                                       const PartitionedFdetConfig& config,
                                       ThreadPool* pool) {
   if (config.min_component_edges < 1) {
@@ -44,7 +26,7 @@ Result<FdetResult> RunPartitionedFdet(const BipartiteGraph& graph,
   }
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     component_edges[static_cast<size_t>(
-                        cc.user_component[graph.edge(e).user])]
+                        cc.user_component[graph.edge_user(e)])]
         .push_back(e);
   }
 
@@ -77,8 +59,8 @@ Result<FdetResult> RunPartitionedFdet(const BipartiteGraph& graph,
     std::vector<Result<FdetResult>> outputs(
         eligible.size(), Result<FdetResult>(FdetResult{}));
     std::vector<SubgraphView> views(eligible.size());
-    // Each worker converts its component to CSR once (inside RunFdet) and
-    // peels in place; the parent graph is shared read-only.
+    // Each worker compacts its component once and peels it in place; the
+    // parent graph is shared read-only.
     auto run_component = [&](int64_t i) {
       const int32_t c = eligible[static_cast<size_t>(i)];
       views[static_cast<size_t>(i)] =
@@ -89,8 +71,8 @@ Result<FdetResult> RunPartitionedFdet(const BipartiteGraph& graph,
     if (pool != nullptr && pool->num_threads() > 1 && eligible.size() > 1) {
       // Component sizes follow a heavy-tailed distribution; stealing
       // keeps the pool saturated when one giant component dominates.
-      pool->ParallelForWorkStealing(0, static_cast<int64_t>(eligible.size()),
-                                    run_component);
+      pool->ParallelFor(0, static_cast<int64_t>(eligible.size()),
+                        run_component);
     } else {
       for (int64_t i = 0; i < static_cast<int64_t>(eligible.size()); ++i) {
         run_component(i);
@@ -103,6 +85,10 @@ Result<FdetResult> RunPartitionedFdet(const BipartiteGraph& graph,
     for (size_t i = 0; i < outputs.size(); ++i) {
       ENSEMFDET_RETURN_NOT_OK(outputs[i].status());
       const SubgraphView& view = views[i];
+      // SubgraphFromEdges relabels order-preservingly, so local edge id k
+      // is the component's k-th (ascending) parent edge.
+      const std::vector<EdgeId>& parent_edges =
+          component_edges[static_cast<size_t>(eligible[i])];
       for (DetectedBlock& block : outputs[i]->blocks) {
         DetectedBlock translated;
         translated.score = block.score;
@@ -116,10 +102,7 @@ Result<FdetResult> RunPartitionedFdet(const BipartiteGraph& graph,
         }
         translated.edges.reserve(block.edges.size());
         for (EdgeId le : block.edges) {
-          const Edge& local = view.graph.edge(le);
-          translated.edges.push_back(
-              ParentEdgeId(graph, view.user_map[local.user],
-                           view.merchant_map[local.merchant]));
+          translated.edges.push_back(parent_edges[static_cast<size_t>(le)]);
         }
         merged.push_back(std::move(translated));
       }

@@ -15,7 +15,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "detect/fdet.h"
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 
@@ -31,7 +31,7 @@ struct PartitionedFdetConfig {
 /// the configured policy, so the result is interchangeable with RunFdet's
 /// (node ids are in `graph`'s id space). `pool` may be nullptr for
 /// sequential execution — results are identical either way.
-Result<FdetResult> RunPartitionedFdet(const BipartiteGraph& graph,
+Result<FdetResult> RunPartitionedFdet(const CsrGraph& graph,
                                       const PartitionedFdetConfig& config,
                                       ThreadPool* pool = nullptr);
 

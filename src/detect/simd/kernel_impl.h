@@ -60,23 +60,6 @@ int64_t CountAliveImpl(const uint8_t* alive, int64_t n) {
   return count;
 }
 
-// REASSOCIATING: kLanes independent accumulators, reduced at the end.
-// Not bit-comparable with the scalar referee — consumers gate on
-// vote-identity (kernels.h FP contract).
-template <typename Traits>
-double MaskedSumImpl(const double* values, const uint8_t* alive, int64_t n) {
-  typename Traits::VecD acc = Traits::Zero();
-  int64_t i = 0;
-  for (; i + Traits::kLanes <= n; i += Traits::kLanes) {
-    acc = Traits::Add(acc, Traits::MaskedLoad(values, alive, i));
-  }
-  double sum = Traits::ReduceAdd(acc);
-  for (; i < n; ++i) {
-    if (alive[i] != 0) sum += values[i];
-  }
-  return sum;
-}
-
 }  // namespace simd
 }  // namespace ensemfdet
 

@@ -14,11 +14,8 @@
 //     every ISA level, which is why the peeling hot path can deploy it
 //     without weakening the ensemble's bit-parity gates.
 //   * next_alive / count_alive are integer — trivially exact.
-//   * masked_sum is the one *reassociating* kernel (vector accumulator
-//     lanes change the addition order). Bit-parity is impossible by
-//     construction, so its consumers gate on vote-identity against the
-//     scalar path instead (the parity-referee rule); the in-order
-//     peeling mass accumulation deliberately does NOT use it.
+// No kernel reassociates floating-point additions: the in-order peeling
+// mass accumulation stays scalar, so every kernel is bit-exact.
 #ifndef ENSEMFDET_DETECT_SIMD_KERNELS_H_
 #define ENSEMFDET_DETECT_SIMD_KERNELS_H_
 
@@ -50,12 +47,6 @@ struct KernelTable {
 
   /// Number of nonzero bytes in alive[0, n) (bitmap popcount).
   int64_t (*count_alive)(const uint8_t* alive, int64_t n);
-
-  /// Sum of values[i] over alive slots. REASSOCIATING above scalar level
-  /// (vector lanes) — see the FP contract above; consumers gate on
-  /// vote-identity, never bit-parity.
-  double (*masked_sum)(const double* values, const uint8_t* alive,
-                       int64_t n);
 
   IsaLevel level;
 };

@@ -17,8 +17,7 @@ namespace simd {
 const KernelTable* Avx2KernelsOrNull() {
   static const KernelTable table = {
       GatherSlotMassImpl<Avx2Traits>, NextAliveImpl<Avx2Traits>,
-      CountAliveImpl<Avx2Traits>,     MaskedSumImpl<Avx2Traits>,
-      IsaLevel::kAvx2,
+      CountAliveImpl<Avx2Traits>,     IsaLevel::kAvx2,
   };
   return &table;
 }

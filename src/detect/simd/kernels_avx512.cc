@@ -17,8 +17,7 @@ namespace simd {
 const KernelTable* Avx512KernelsOrNull() {
   static const KernelTable table = {
       GatherSlotMassImpl<Avx512Traits>, NextAliveImpl<Avx512Traits>,
-      CountAliveImpl<Avx512Traits>,     MaskedSumImpl<Avx512Traits>,
-      IsaLevel::kAvx512,
+      CountAliveImpl<Avx512Traits>,     IsaLevel::kAvx512,
   };
   return &table;
 }

@@ -34,20 +34,12 @@ int64_t ScalarCountAlive(const uint8_t* alive, int64_t n) {
   return count;
 }
 
-double ScalarMaskedSum(const double* values, const uint8_t* alive, int64_t n) {
-  double sum = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (alive[i] != 0) sum += values[i];
-  }
-  return sum;
-}
-
 }  // namespace
 
 const KernelTable& ScalarKernels() {
   static const KernelTable table = {
-      ScalarGatherSlotMass, ScalarNextAlive,    ScalarCountAlive,
-      ScalarMaskedSum,      IsaLevel::kScalar,
+      ScalarGatherSlotMass, ScalarNextAlive, ScalarCountAlive,
+      IsaLevel::kScalar,
   };
   return table;
 }

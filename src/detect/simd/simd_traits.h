@@ -2,12 +2,11 @@
 // instantiated over — the pgaccel avx_traits.hpp pattern. Each trait
 // exposes the same tiny vocabulary:
 //
-//   kLanes          doubles per vector (gather/masked-sum width)
+//   kLanes          doubles per vector (gather width)
 //   kBytesPerBlock  alive-bitmap bytes scanned per step
 //   GatherMass      (w * scale) * col_weight[idx - base], elementwise
 //   NonZeroByteMask bitmask of nonzero bytes in one block (bit i = byte i)
-//   MaskedLoad      doubles whose alive byte is nonzero, 0.0 elsewhere
-//   ReduceAdd       horizontal sum of one vector
+//   Broadcast/Store splat a double / store one vector
 //
 // Only the TU compiled with matching -m flags defines each trait (the
 // __AVX2__ / __AVX512F__ guards), so this header is safe to include from
@@ -16,7 +15,6 @@
 #define ENSEMFDET_DETECT_SIMD_SIMD_TRAITS_H_
 
 #include <cstdint>
-#include <cstring>
 
 #if defined(__AVX2__) || (defined(__AVX512F__) && defined(__AVX512BW__))
 #include <immintrin.h>
@@ -61,29 +59,7 @@ struct Avx2Traits {
     return ~static_cast<uint32_t>(_mm256_movemask_epi8(is_zero));
   }
 
-  // values[i..i+3] where alive is nonzero, 0.0 in dead lanes.
-  static inline VecD MaskedLoad(const double* values, const uint8_t* alive,
-                                int64_t i) {
-    uint32_t packed;
-    std::memcpy(&packed, alive + i, sizeof(packed));
-    __m256i bytes = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(
-        static_cast<int>(packed)));
-    __m256i lane_mask = _mm256_cmpgt_epi64(bytes, _mm256_setzero_si256());
-    VecD v = _mm256_loadu_pd(values + i);
-    return _mm256_and_pd(v, _mm256_castsi256_pd(lane_mask));
-  }
-
-  static inline double ReduceAdd(VecD v) {
-    __m128d lo = _mm256_castpd256_pd128(v);
-    __m128d hi = _mm256_extractf128_pd(v, 1);
-    __m128d sum2 = _mm_add_pd(lo, hi);
-    __m128d sum1 = _mm_add_sd(sum2, _mm_unpackhi_pd(sum2, sum2));
-    return _mm_cvtsd_f64(sum1);
-  }
-
-  static inline VecD Zero() { return _mm256_setzero_pd(); }
   static inline VecD Broadcast(double x) { return _mm256_set1_pd(x); }
-  static inline VecD Add(VecD a, VecD b) { return _mm256_add_pd(a, b); }
   static inline void Store(double* p, VecD v) { _mm256_storeu_pd(p, v); }
 };
 
@@ -119,30 +95,7 @@ struct Avx512Traits {
     return _mm512_test_epi8_mask(block, block);
   }
 
-  static inline VecD MaskedLoad(const double* values, const uint8_t* alive,
-                                int64_t i) {
-    __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(alive + i));
-    __mmask8 lane_mask = _mm_test_epi8_mask(bytes, bytes);
-    return _mm512_maskz_loadu_pd(lane_mask, values + i);
-  }
-
-  // Hand-rolled instead of _mm512_reduce_add_pd: gcc's implementation
-  // routes through _mm256_undefined_pd and trips -Wuninitialized.
-  static inline double ReduceAdd(VecD v) {
-    __m512d swapped = _mm512_shuffle_f64x2(v, v, 0xee);  // upper 256 → lower
-    __m256d sum4 = _mm256_add_pd(_mm512_castpd512_pd256(v),
-                                 _mm512_castpd512_pd256(swapped));
-    __m128d lo = _mm256_castpd256_pd128(sum4);
-    __m128d hi = _mm256_extractf128_pd(sum4, 1);
-    __m128d sum2 = _mm_add_pd(lo, hi);
-    __m128d sum1 = _mm_add_sd(sum2, _mm_unpackhi_pd(sum2, sum2));
-    return _mm_cvtsd_f64(sum1);
-  }
-
-  static inline VecD Zero() { return _mm512_setzero_pd(); }
   static inline VecD Broadcast(double x) { return _mm512_set1_pd(x); }
-  static inline VecD Add(VecD a, VecD b) { return _mm512_add_pd(a, b); }
   static inline void Store(double* p, VecD v) { _mm512_storeu_pd(p, v); }
 };
 

@@ -120,12 +120,12 @@ Result<std::unique_ptr<Sampler>> ValidatedSampler(
 
 // Pool-vs-serial member dispatch shared by every entry point; outputs are
 // indexed by member, so results are identical at any pool width. Member
-// costs are skewed (sampled residuals differ wildly in size), so wide
-// pools use the work-stealing split rather than the static one.
+// costs are skewed (sampled residuals differ wildly in size); the pool's
+// work-stealing loop rebalances them.
 template <typename Fn>
 void ForEachMember(int n, ThreadPool* pool, const Fn& run_one) {
   if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
-    pool->ParallelForWorkStealing(0, n, run_one);
+    pool->ParallelFor(0, n, run_one);
   } else {
     for (int64_t i = 0; i < n; ++i) run_one(i);
   }
@@ -216,7 +216,7 @@ MemberOutput RunMemberCsr(const CsrGraph& graph, const Sampler& sampler,
 
 // The seed materializing member (reference path): build the sampled child
 // graph, FDET it, remap local ids back to the parent.
-MemberOutput RunMemberReference(const BipartiteGraph& graph,
+MemberOutput RunMemberReference(const CsrGraph& graph,
                                 const Sampler& sampler,
                                 const FdetConfig& fdet_config,
                                 Rng member_rng) {
@@ -228,8 +228,7 @@ MemberOutput RunMemberReference(const BipartiteGraph& graph,
   out.stats.sample_merchants = view.graph.num_merchants();
   out.stats.sample_edges = view.graph.num_edges();
 
-  // RunFdet converts the sampled child to CSR once and peels in place;
-  // the parent graph stays shared read-only across all pool workers.
+  // The parent graph stays shared read-only across all pool workers.
   Result<FdetResult> fdet = RunFdet(view.graph, fdet_config);
   if (!fdet.ok()) {
     out.status = fdet.status();
@@ -333,12 +332,7 @@ Result<EnsemFDetReport> EnsemFDet::Run(const CsrGraph& graph,
       });
 }
 
-Result<EnsemFDetReport> EnsemFDet::Run(const BipartiteGraph& graph,
-                                       ThreadPool* pool) const {
-  return Run(CsrGraph::FromBipartite(graph), pool);
-}
-
-Result<EnsemFDetReport> EnsemFDet::RunReference(const BipartiteGraph& graph,
+Result<EnsemFDetReport> EnsemFDet::RunReference(const CsrGraph& graph,
                                                 ThreadPool* pool) const {
   return DriveEnsemble(
       config_, graph.num_users(), graph.num_merchants(), pool,

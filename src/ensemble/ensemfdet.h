@@ -30,7 +30,6 @@
 #include "common/thread_pool.h"
 #include "detect/fdet.h"
 #include "ensemble/vote_table.h"
-#include "graph/bipartite_graph.h"
 #include "graph/csr_graph.h"
 #include "sampling/sampler.h"
 
@@ -114,11 +113,11 @@ class EnsemFDet {
 
   const EnsemFDetConfig& config() const { return config_; }
 
-  /// Runs the ensemble on `graph`'s shared CSR form — the
-  /// zero-materialization hot path; members peel residual edge masks of
-  /// `graph` in place and never build a child graph. `pool` supplies the
-  /// parallelism; pass nullptr to run sequentially on the calling thread
-  /// (useful for determinism tests — output is identical either way).
+  /// Runs the ensemble on `graph` — the zero-materialization hot path;
+  /// members peel residual edge masks of `graph` in place and never build
+  /// a child graph. `pool` supplies the parallelism; pass nullptr to run
+  /// sequentially on the calling thread (useful for determinism tests —
+  /// output is identical either way).
   /// Fails with InvalidArgument on bad N / S / FDET configuration.
   ///
   /// @note Worker arenas are thread_local caches sized to the largest
@@ -128,18 +127,12 @@ class EnsemFDet {
   Result<EnsemFDetReport> Run(const CsrGraph& graph,
                               ThreadPool* pool = nullptr) const;
 
-  /// Adjacency-list convenience overload: converts once
-  /// (CsrGraph::FromBipartite, O(|U| + |V| + |E|) amortized over all N
-  /// members) and runs the hot path above. Output is bit-identical to
-  /// both the CSR overload and RunReference.
-  Result<EnsemFDetReport> Run(const BipartiteGraph& graph,
-                              ThreadPool* pool = nullptr) const;
-
   /// The seed implementation: every member materializes its sampled child
   /// (SubgraphView), runs FDET on it, and remaps results to parent ids.
   /// Kept as the parity/performance reference for
-  /// tests/ensemble_parity_test.cc and the ensemble bench — prefer Run.
-  Result<EnsemFDetReport> RunReference(const BipartiteGraph& graph,
+  /// tests/ensemble_parity_test.cc and the ensemble bench — prefer Run,
+  /// whose output is bit-identical.
+  Result<EnsemFDetReport> RunReference(const CsrGraph& graph,
                                        ThreadPool* pool = nullptr) const;
 
   /// Runs the same N members as Run() (identical sampling randomness,

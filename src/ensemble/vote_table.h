@@ -11,7 +11,7 @@
 #include <span>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 

@@ -8,7 +8,7 @@
 #include <span>
 
 #include "eval/labels.h"
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 

@@ -16,7 +16,7 @@ int32_t ConnectedComponents::LargestComponent() const {
   return best;
 }
 
-ConnectedComponents FindConnectedComponents(const BipartiteGraph& graph) {
+ConnectedComponents FindConnectedComponents(const CsrGraph& graph) {
   const int64_t num_users = graph.num_users();
   const int64_t num_merchants = graph.num_merchants();
   ConnectedComponents result;
@@ -45,9 +45,8 @@ ConnectedComponents FindConnectedComponents(const BipartiteGraph& graph) {
       if (node < num_users) {
         const UserId u = static_cast<UserId>(node);
         ++stats.num_users;
-        for (EdgeId e : graph.user_edges(u)) {
+        for (MerchantId v : graph.user_neighbors(u)) {
           ++stats.num_edges;  // counted once: from the user side only
-          const MerchantId v = graph.edge(e).merchant;
           int32_t& other = result.merchant_component[v];
           if (other == -1) {
             other = label;
@@ -57,8 +56,7 @@ ConnectedComponents FindConnectedComponents(const BipartiteGraph& graph) {
       } else {
         const MerchantId v = static_cast<MerchantId>(node - num_users);
         ++stats.num_merchants;
-        for (EdgeId e : graph.merchant_edges(v)) {
-          const UserId u = graph.edge(e).user;
+        for (UserId u : graph.merchant_neighbors(v)) {
           int32_t& other = result.user_component[u];
           if (other == -1) {
             other = label;

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 
@@ -41,7 +41,7 @@ struct ConnectedComponents {
 };
 
 /// BFS labelling; O(|U| + |V| + |E|).
-ConnectedComponents FindConnectedComponents(const BipartiteGraph& graph);
+ConnectedComponents FindConnectedComponents(const CsrGraph& graph);
 
 }  // namespace ensemfdet
 

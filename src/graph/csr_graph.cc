@@ -1,9 +1,9 @@
 #include "graph/csr_graph.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
-#include "graph/graph_builder.h"
 
 namespace ensemfdet {
 
@@ -87,68 +87,6 @@ CsrGraph& CsrGraph::operator=(CsrGraph&& other) noexcept {
   return *this;
 }
 
-CsrGraph CsrGraph::FromBipartite(const BipartiteGraph& graph) {
-  CsrGraph g;
-  g.num_users_ = graph.num_users();
-  g.num_merchants_ = graph.num_merchants();
-  const int64_t num_edges = graph.num_edges();
-  auto edges = graph.edges();
-  Owned& o = g.owned_;
-
-  // User side: edges are already grouped by user in ascending merchant
-  // order (GraphBuilder's canonical order), so the neighbor array is the
-  // merchant column of the edge array and slot == EdgeId.
-  o.user_offsets.assign(static_cast<size_t>(g.num_users_) + 1, 0);
-  o.user_neighbors.resize(static_cast<size_t>(num_edges));
-  o.edge_users.resize(static_cast<size_t>(num_edges));
-  for (EdgeId e = 0; e < num_edges; ++e) {
-    const Edge& edge = edges[static_cast<size_t>(e)];
-    ENSEMFDET_DCHECK(e == 0 ||
-                     edges[static_cast<size_t>(e) - 1].user < edge.user ||
-                     (edges[static_cast<size_t>(e) - 1].user == edge.user &&
-                      edges[static_cast<size_t>(e) - 1].merchant <
-                          edge.merchant))
-        << "edge ids are not in canonical (user, merchant) order";
-    ++o.user_offsets[edge.user + 1];
-    o.user_neighbors[static_cast<size_t>(e)] = edge.merchant;
-    o.edge_users[static_cast<size_t>(e)] = edge.user;
-  }
-  for (int64_t u = 0; u < g.num_users_; ++u) {
-    o.user_offsets[static_cast<size_t>(u) + 1] +=
-        o.user_offsets[static_cast<size_t>(u)];
-  }
-
-  // Merchant side: counting sort by merchant; within a merchant, edge ids
-  // arrive ascending, which is ascending user order.
-  o.merchant_offsets.assign(static_cast<size_t>(g.num_merchants_) + 1, 0);
-  for (const Edge& edge : edges) ++o.merchant_offsets[edge.merchant + 1];
-  for (int64_t v = 0; v < g.num_merchants_; ++v) {
-    o.merchant_offsets[static_cast<size_t>(v) + 1] +=
-        o.merchant_offsets[static_cast<size_t>(v)];
-  }
-  o.merchant_neighbors.resize(static_cast<size_t>(num_edges));
-  o.merchant_edge_ids.resize(static_cast<size_t>(num_edges));
-  {
-    std::vector<int64_t> cursor(o.merchant_offsets.begin(),
-                                o.merchant_offsets.end() - 1);
-    for (EdgeId e = 0; e < num_edges; ++e) {
-      const Edge& edge = edges[static_cast<size_t>(e)];
-      const int64_t slot = cursor[edge.merchant]++;
-      o.merchant_neighbors[static_cast<size_t>(slot)] = edge.user;
-      o.merchant_edge_ids[static_cast<size_t>(slot)] = e;
-    }
-  }
-
-  if (graph.has_weights()) {
-    o.weights.resize(static_cast<size_t>(num_edges));
-    for (EdgeId e = 0; e < num_edges; ++e) {
-      o.weights[static_cast<size_t>(e)] = graph.edge_weight(e);
-    }
-  }
-  g.BindOwned();
-  return g;
-}
-
 CsrGraph CsrGraph::WrapExternal(
     int64_t num_users, int64_t num_merchants,
     std::span<const int64_t> user_offsets,
@@ -213,16 +151,10 @@ CsrGraph CsrGraph::FromRawArrays(
   return g;
 }
 
-BipartiteGraph CsrGraph::ToBipartite() const {
-  GraphBuilder builder(num_users_, num_merchants_);
-  builder.Reserve(num_edges());
-  for (EdgeId e = 0; e < num_edges(); ++e) {
-    builder.AddEdge(edge_user(e), edge_merchant(e), edge_weight(e));
-  }
-  // Edges are unique (they came from a built graph), so the policy is
-  // irrelevant; the builder just re-canonicalizes the already-canonical
-  // order.
-  return std::move(builder.Build(DuplicatePolicy::kKeepFirst)).value();
+bool CsrGraph::HasEdge(UserId u, MerchantId v) const {
+  if (u >= num_users_ || v >= num_merchants_) return false;
+  const auto row = user_neighbors(u);  // ascending merchant ids
+  return std::binary_search(row.begin(), row.end(), v);
 }
 
 }  // namespace ensemfdet

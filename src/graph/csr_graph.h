@@ -1,21 +1,23 @@
-// CsrGraph: the flat compressed-sparse-row form of a bipartite graph —
-// the memory layout the detection hot path runs on.
+// CsrGraph: the library's one graph type — the paper's "who buy-from
+// where" bipartite graph G = (U ∪ V, E), users (PINs) on one side and
+// merchants on the other, in flat compressed-sparse-row form.
 //
-// BipartiteGraph (bipartite_graph.h) stores incidence lists of EdgeIds
-// plus a separate endpoint-pair array, so walking a neighborhood costs one
-// extra indirection per edge (adj slot → EdgeId → Edge struct → endpoint).
-// CsrGraph flattens both orientations into offset/neighbor arrays so k-core
-// peeling and greedy density peeling iterate neighbor ids directly at
-// memory bandwidth (see DESIGN.md §"Graph memory layout" and Ban & Duan's
-// linear-time dense-subgraph peeling, PAPERS.md).
+// Both orientations are stored as offset/neighbor arrays, so k-core
+// peeling, greedy density peeling, sampling and the spectral baselines
+// iterate neighbor ids directly at memory bandwidth (see DESIGN.md
+// §"Graph memory layout" and Ban & Duan's linear-time dense-subgraph
+// peeling, PAPERS.md). GraphBuilder (graph_builder.h) constructs owning
+// graphs, deduplicating parallel edges and validating ids; an optional
+// per-edge weight array supports Theorem 1's 1/p reweighting of sampled
+// subgraphs.
 //
 // Layout invariants (checked in debug builds, pinned by
 // tests/csr_graph_test.cc):
 //
-//  * Edges keep BipartiteGraph's canonical id order: ascending
-//    (user, merchant). Because user rows are stored contiguously in user
-//    order with neighbors ascending, **the user-side slot index IS the
-//    EdgeId** — `user_neighbors_[e]` is edge e's merchant endpoint.
+//  * Edge ids are canonical: ascending (user, merchant). Because user rows
+//    are stored contiguously in user order with neighbors ascending,
+//    **the user-side slot index IS the EdgeId** — `user_neighbors_[e]` is
+//    edge e's merchant endpoint.
 //  * Merchant rows are sorted by user id; `merchant_edge_ids(v)[k]` maps
 //    the k-th slot of v's row back to its EdgeId.
 //  * `edge_user(e)` / `edge_merchant(e)` / `edge_weight(e)` are O(1) flat
@@ -23,17 +25,16 @@
 //
 // Storage model (since the snapshot subsystem, DESIGN.md §"Snapshot
 // format"): every accessor reads through spans, and a graph either *owns*
-// its arrays (FromBipartite — the spans alias internal vectors) or is a
-// *view* over externally owned memory (WrapExternal — e.g. a read-only
-// file mapping kept alive by `backing`). Copying an owning graph deep-
-// copies; copying a view is O(1) and shares the backing handle. Either
-// way the copy/move machinery keeps the spans pointing at storage the
-// destination object owns, so value semantics are preserved.
+// its arrays (GraphBuilder / FromRawArrays — the spans alias internal
+// vectors) or is a *view* over externally owned memory (WrapExternal —
+// e.g. a read-only file mapping kept alive by `backing`). Copying an
+// owning graph deep-copies; copying a view is O(1) and shares the backing
+// handle. Either way the copy/move machinery keeps the spans pointing at
+// storage the destination object owns, so value semantics are preserved.
 //
 // Thread-safety: a CsrGraph is immutable after construction; any number of
-// threads may read one concurrently without synchronization. Per-job code
-// converts once (FromBipartite) and shares the instance across ThreadPool
-// workers by const reference / shared_ptr.
+// threads may read one concurrently without synchronization, so jobs share
+// one instance across ThreadPool workers by const reference / shared_ptr.
 #ifndef ENSEMFDET_GRAPH_CSR_GRAPH_H_
 #define ENSEMFDET_GRAPH_CSR_GRAPH_H_
 
@@ -42,10 +43,24 @@
 #include <span>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
-
 namespace ensemfdet {
 
+/// Dense id of a user (PIN) node, in [0, num_users).
+using UserId = uint32_t;
+/// Dense id of a merchant node, in [0, num_merchants).
+using MerchantId = uint32_t;
+/// Dense id of an edge, in [0, num_edges).
+using EdgeId = int64_t;
+
+/// One endpoint pair; the unit the edge samplers draw.
+struct Edge {
+  UserId user;
+  MerchantId merchant;
+
+  bool operator==(const Edge& other) const = default;
+};
+
+/// Immutable CSR bipartite graph (see file comment).
 class CsrGraph {
  public:
   /// Empty graph (0 nodes / 0 edges).
@@ -55,16 +70,6 @@ class CsrGraph {
   CsrGraph& operator=(const CsrGraph& other);
   CsrGraph(CsrGraph&& other) noexcept;
   CsrGraph& operator=(CsrGraph&& other) noexcept;
-
-  /// Converts an adjacency-list graph to CSR form.
-  ///
-  /// @pre `graph`'s edge ids are canonical — ascending (user, merchant) —
-  ///      which every GraphBuilder-built graph satisfies (checked in debug
-  ///      builds).
-  /// @post `ToBipartite()` of the result reproduces `graph` exactly
-  ///       (nodes, edge set, edge id order, weights).
-  /// Cost: O(|U| + |V| + |E|), one pass over the edge array.
-  static CsrGraph FromBipartite(const BipartiteGraph& graph);
 
   /// Wraps externally owned CSR arrays as a zero-copy view. `backing`
   /// keeps the memory alive (e.g. a storage::MappedFile); the arrays must
@@ -85,9 +90,9 @@ class CsrGraph {
                                std::span<const double> weights,
                                std::shared_ptr<const void> backing);
 
-  /// Adopts pre-built CSR arrays as an owning graph (the streaming
-  /// snapshot reader's constructor). Same invariant contract as
-  /// WrapExternal: callers validate untrusted arrays first.
+  /// Adopts pre-built CSR arrays as an owning graph (GraphBuilder's and
+  /// the streaming snapshot reader's constructor). Same invariant contract
+  /// as WrapExternal: callers validate untrusted arrays first.
   static CsrGraph FromRawArrays(int64_t num_users, int64_t num_merchants,
                                 std::vector<int64_t> user_offsets,
                                 std::vector<MerchantId> user_neighbors,
@@ -99,10 +104,6 @@ class CsrGraph {
 
   /// True iff this graph aliases externally owned memory (WrapExternal).
   bool is_view() const { return backing_ != nullptr; }
-
-  /// Converts back to the adjacency-list form (exact round-trip: same node
-  /// counts, edges in the same canonical order, same weights).
-  BipartiteGraph ToBipartite() const;
 
   int64_t num_users() const { return num_users_; }
   int64_t num_merchants() const { return num_merchants_; }
@@ -154,8 +155,14 @@ class CsrGraph {
   MerchantId edge_merchant(EdgeId e) const {
     return user_neighbors_[static_cast<size_t>(e)];  // slot == EdgeId
   }
+  /// Both endpoints of edge e.
+  Edge edge(EdgeId e) const { return {edge_user(e), edge_merchant(e)}; }
 
-  /// Weight of edge e (1.0 unless the source graph carried weights).
+  /// True iff the (user, merchant) edge exists; O(log degree).
+  bool HasEdge(UserId u, MerchantId v) const;
+
+  /// Weight of edge e (1.0 unless the graph was built with weights, e.g.
+  /// the 1/p reweighting of Theorem 1).
   double edge_weight(EdgeId e) const {
     return weights_.empty() ? 1.0 : weights_[static_cast<size_t>(e)];
   }
@@ -211,6 +218,10 @@ class CsrGraph {
   // Non-null iff this graph is a view over external memory.
   std::shared_ptr<const void> backing_;
 };
+
+/// The adjacency-list type this one replaced, by its old name; nothing in
+/// the library uses it, it only keeps out-of-tree callers compiling.
+using BipartiteGraph = CsrGraph;
 
 }  // namespace ensemfdet
 

@@ -30,23 +30,10 @@ uint64_t FingerprintEdges(int64_t num_users, int64_t num_merchants,
   return h;
 }
 
-uint64_t FingerprintGraph(const BipartiteGraph& graph) {
-  if (!graph.has_weights()) {
-    return FingerprintEdges(graph.num_users(), graph.num_merchants(),
-                            graph.edges());
-  }
-  std::vector<double> weights(static_cast<size_t>(graph.num_edges()));
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    weights[static_cast<size_t>(e)] = graph.edge_weight(e);
-  }
-  return FingerprintEdges(graph.num_users(), graph.num_merchants(),
-                          graph.edges(), weights);
-}
-
 uint64_t FingerprintGraph(const CsrGraph& graph) {
   // Reassemble the canonical endpoint-pair array (the user-side CSR is the
-  // merchant column in EdgeId order; edge_users is the user column) so the
-  // byte stream matches the BipartiteGraph overload exactly.
+  // merchant column in EdgeId order; edge_users is the user column) — the
+  // byte stream FingerprintEdges hashes.
   std::vector<Edge> edges(static_cast<size_t>(graph.num_edges()));
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     edges[static_cast<size_t>(e)] = {graph.edge_user(e),

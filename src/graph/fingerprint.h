@@ -5,11 +5,11 @@
 // order, and per-edge weights when present. Two graphs with equal
 // fingerprints are (modulo 64-bit hash collision) structurally identical,
 // so detection results over them are interchangeable. The contract that
-// matters for caching is *representation independence*: the adjacency
-// form, the CSR form, and an incremental base+delta GraphVersion of the
-// same live edge set all fingerprint to the same value (pinned by
-// tests/csr_graph_test.cc and tests/ingest_store_test.cc), so keys derived
-// from any representation are interchangeable.
+// matters for caching is *representation independence*: a built graph, an
+// mmap-served snapshot view of it, and an incremental base+delta
+// GraphVersion of the same live edge set all fingerprint to the same value
+// (pinned by tests/csr_graph_test.cc and tests/ingest_store_test.cc), so
+// keys derived from any of them are interchangeable.
 //
 // Lives in the graph layer (not service) so the ingest subsystem can stamp
 // published GraphVersions without depending on the registry; the service
@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <span>
 
-#include "graph/bipartite_graph.h"
 #include "graph/csr_graph.h"
 
 namespace ensemfdet {
@@ -28,18 +27,13 @@ namespace ensemfdet {
 /// Stable 64-bit content hash of a graph (see file comment).
 ///
 /// @note Thread-safety: pure function; safe to call concurrently.
-uint64_t FingerprintGraph(const BipartiteGraph& graph);
-
-/// CSR overload with the same value contract:
-/// `FingerprintGraph(CsrGraph::FromBipartite(g)) == FingerprintGraph(g)`
-/// for every graph g.
 uint64_t FingerprintGraph(const CsrGraph& graph);
 
 /// The shared core: fingerprints an explicit edge list. `edges` must be in
 /// canonical order — ascending (user, merchant), duplicate-free — i.e. the
 /// id order GraphBuilder::Build() produces; `weights` is empty for an
 /// unweighted graph, else one weight per edge in the same order. Both
-/// FingerprintGraph overloads and GraphVersion::ContentFingerprint()
+/// FingerprintGraph and GraphVersion::ContentFingerprint()
 /// funnel through this one definition, so the byte stream can never drift
 /// between representations.
 uint64_t FingerprintEdges(int64_t num_users, int64_t num_merchants,

@@ -3,17 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-
-#include "common/logging.h"
+#include <utility>
+#include <vector>
 
 namespace ensemfdet {
 
 GraphBuilder::GraphBuilder(int64_t num_users, int64_t num_merchants)
-    : num_users_(num_users), num_merchants_(num_merchants) {
-  ENSEMFDET_CHECK(num_users >= 0 && num_merchants >= 0);
-  ENSEMFDET_CHECK(num_users <= UINT32_MAX && num_merchants <= UINT32_MAX)
-      << "node counts must fit 32-bit ids";
-}
+    : num_users_(num_users), num_merchants_(num_merchants) {}
 
 void GraphBuilder::AddEdge(UserId user, MerchantId merchant, double weight) {
   pending_.push_back({user, merchant, weight});
@@ -23,8 +19,14 @@ void GraphBuilder::Reserve(int64_t num_edges) {
   pending_.reserve(static_cast<size_t>(num_edges));
 }
 
-Result<BipartiteGraph> GraphBuilder::Build(DuplicatePolicy policy) {
+Result<CsrGraph> GraphBuilder::Build(DuplicatePolicy policy) {
   // Validate before any expensive work.
+  if (num_users_ < 0 || num_merchants_ < 0 || num_users_ > UINT32_MAX ||
+      num_merchants_ > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "node counts must fit 32-bit ids, got " + std::to_string(num_users_) +
+        " users and " + std::to_string(num_merchants_) + " merchants");
+  }
   for (const PendingEdge& pe : pending_) {
     if (pe.user >= num_users_) {
       return Status::InvalidArgument("user id " + std::to_string(pe.user) +
@@ -41,22 +43,22 @@ Result<BipartiteGraph> GraphBuilder::Build(DuplicatePolicy policy) {
     }
   }
 
-  // Sort by (user, merchant) so duplicates are adjacent and the user-side
-  // CSR comes out with sorted neighbor lists.
+  // Sort by (user, merchant) so duplicates are adjacent and edge ids come
+  // out canonical: the user-side CSR is the merged pending array itself.
   std::sort(pending_.begin(), pending_.end(),
             [](const PendingEdge& a, const PendingEdge& b) {
               if (a.user != b.user) return a.user < b.user;
               return a.merchant < b.merchant;
             });
 
-  BipartiteGraph g;
-  g.num_users_ = num_users_;
-  g.num_merchants_ = num_merchants_;
-  g.edges_.reserve(pending_.size());
-  bool any_nonunit_weight = false;
+  std::vector<int64_t> user_offsets(static_cast<size_t>(num_users_) + 1, 0);
+  std::vector<MerchantId> user_neighbors;
+  std::vector<UserId> edge_users;
   std::vector<double> weights;
+  user_neighbors.reserve(pending_.size());
+  edge_users.reserve(pending_.size());
   weights.reserve(pending_.size());
-
+  bool any_nonunit_weight = false;
   for (size_t i = 0; i < pending_.size();) {
     const PendingEdge& first = pending_[i];
     double weight = first.weight;
@@ -66,46 +68,46 @@ Result<BipartiteGraph> GraphBuilder::Build(DuplicatePolicy policy) {
       if (policy == DuplicatePolicy::kSumWeights) weight += pending_[j].weight;
       ++j;
     }
-    g.edges_.push_back({first.user, first.merchant});
+    ++user_offsets[first.user + 1];
+    user_neighbors.push_back(first.merchant);
+    edge_users.push_back(first.user);
     weights.push_back(weight);
     if (weight != 1.0) any_nonunit_weight = true;
     i = j;
   }
-  if (any_nonunit_weight) g.weights_ = std::move(weights);
-
-  const int64_t num_edges = static_cast<int64_t>(g.edges_.size());
-
-  // User-side CSR: edges are already user-sorted, offsets by counting.
-  g.user_offsets_.assign(static_cast<size_t>(num_users_) + 1, 0);
-  for (const Edge& e : g.edges_) ++g.user_offsets_[e.user + 1];
-  for (int64_t u = 0; u < num_users_; ++u) {
-    g.user_offsets_[static_cast<size_t>(u) + 1] +=
-        g.user_offsets_[static_cast<size_t>(u)];
-  }
-  g.user_adj_.resize(static_cast<size_t>(num_edges));
-  for (EdgeId e = 0; e < num_edges; ++e) {
-    g.user_adj_[static_cast<size_t>(e)] = e;  // already grouped and sorted
-  }
-
-  // Merchant-side CSR via counting sort by merchant; within a merchant the
-  // edge ids arrive in ascending user order because edges_ is user-sorted.
-  g.merchant_offsets_.assign(static_cast<size_t>(num_merchants_) + 1, 0);
-  for (const Edge& e : g.edges_) ++g.merchant_offsets_[e.merchant + 1];
-  for (int64_t v = 0; v < num_merchants_; ++v) {
-    g.merchant_offsets_[static_cast<size_t>(v) + 1] +=
-        g.merchant_offsets_[static_cast<size_t>(v)];
-  }
-  g.merchant_adj_.resize(static_cast<size_t>(num_edges));
-  std::vector<int64_t> cursor(g.merchant_offsets_.begin(),
-                              g.merchant_offsets_.end() - 1);
-  for (EdgeId e = 0; e < num_edges; ++e) {
-    MerchantId v = g.edges_[static_cast<size_t>(e)].merchant;
-    g.merchant_adj_[static_cast<size_t>(cursor[v]++)] = e;
-  }
-
   pending_.clear();
   pending_.shrink_to_fit();
-  return g;
+  if (!any_nonunit_weight) weights = {};
+  for (int64_t u = 0; u < num_users_; ++u) {
+    user_offsets[static_cast<size_t>(u) + 1] +=
+        user_offsets[static_cast<size_t>(u)];
+  }
+
+  // Merchant side: counting sort by merchant; within a merchant the edge
+  // ids arrive ascending, which is ascending user order.
+  const size_t num_edges = user_neighbors.size();
+  std::vector<int64_t> merchant_offsets(static_cast<size_t>(num_merchants_) + 1,
+                                        0);
+  for (MerchantId v : user_neighbors) ++merchant_offsets[v + 1];
+  for (int64_t v = 0; v < num_merchants_; ++v) {
+    merchant_offsets[static_cast<size_t>(v) + 1] +=
+        merchant_offsets[static_cast<size_t>(v)];
+  }
+  std::vector<UserId> merchant_neighbors(num_edges);
+  std::vector<EdgeId> merchant_edge_ids(num_edges);
+  std::vector<int64_t> cursor(merchant_offsets.begin(),
+                              merchant_offsets.end() - 1);
+  for (size_t e = 0; e < num_edges; ++e) {
+    const size_t slot = static_cast<size_t>(cursor[user_neighbors[e]]++);
+    merchant_neighbors[slot] = edge_users[e];
+    merchant_edge_ids[slot] = static_cast<EdgeId>(e);
+  }
+
+  return CsrGraph::FromRawArrays(
+      num_users_, num_merchants_, std::move(user_offsets),
+      std::move(user_neighbors), std::move(edge_users),
+      std::move(merchant_offsets), std::move(merchant_neighbors),
+      std::move(merchant_edge_ids), std::move(weights));
 }
 
 }  // namespace ensemfdet

@@ -1,4 +1,4 @@
-// Mutable accumulator that validates and assembles a BipartiteGraph.
+// Mutable accumulator that validates and assembles a CsrGraph.
 //
 // Parallel (duplicate) edges are merged at Build() time; with
 // DuplicatePolicy::kSumWeights the merged edge carries the summed weight,
@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 
@@ -23,7 +23,7 @@ enum class DuplicatePolicy {
 class GraphBuilder {
  public:
   /// Fixes the node-id universes: users in [0, num_users), merchants in
-  /// [0, num_merchants).
+  /// [0, num_merchants). The counts are validated by Build().
   GraphBuilder(int64_t num_users, int64_t num_merchants);
 
   int64_t num_users() const { return num_users_; }
@@ -40,9 +40,10 @@ class GraphBuilder {
 
   /// Validates ids, merges duplicates per `policy`, builds both CSR
   /// orientations. The builder is left empty and reusable.
-  /// Fails with InvalidArgument on out-of-range ids or non-finite /
-  /// non-positive weights.
-  Result<BipartiteGraph> Build(
+  /// Fails with InvalidArgument on node counts that are negative or do not
+  /// fit 32-bit ids, out-of-range ids, or non-finite / non-positive
+  /// weights.
+  Result<CsrGraph> Build(
       DuplicatePolicy policy = DuplicatePolicy::kKeepFirst);
 
  private:

@@ -28,6 +28,9 @@ bool NextField(std::string_view line, size_t* pos, std::string_view* field) {
   return true;
 }
 
+// Largest node count (and one past the largest id) 32-bit ids allow.
+constexpr int64_t kMaxNodeCount = UINT32_MAX;
+
 bool ParseU64(std::string_view s, uint64_t* out) {
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
   return ec == std::errc() && ptr == s.data() + s.size();
@@ -47,14 +50,14 @@ bool ParseDouble(std::string_view s, double* out) {
 
 }  // namespace
 
-Status SaveEdgeListTsv(const BipartiteGraph& graph, const std::string& path) {
+Status SaveEdgeListTsv(const CsrGraph& graph, const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open for writing: " + path);
   out << "# bipartite " << graph.num_users() << ' ' << graph.num_merchants()
       << '\n';
   char line[96];
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const Edge& edge = graph.edge(e);
+    const Edge edge = graph.edge(e);
     if (graph.has_weights()) {
       std::snprintf(line, sizeof(line), "%u\t%u\t%.17g\n", edge.user,
                     edge.merchant, graph.edge_weight(e));
@@ -68,7 +71,7 @@ Status SaveEdgeListTsv(const BipartiteGraph& graph, const std::string& path) {
   return Status::OK();
 }
 
-Result<BipartiteGraph> LoadEdgeListTsv(const std::string& path) {
+Result<CsrGraph> LoadEdgeListTsv(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open for reading: " + path);
 
@@ -78,7 +81,7 @@ Result<BipartiteGraph> LoadEdgeListTsv(const std::string& path) {
     double weight;
   };
   std::vector<ParsedEdge> parsed;
-  uint64_t declared_users = 0, declared_merchants = 0;
+  int64_t declared_users = 0, declared_merchants = 0;
   bool has_header = false;
   uint64_t max_user = 0, max_merchant = 0;
 
@@ -92,6 +95,12 @@ Result<BipartiteGraph> LoadEdgeListTsv(const std::string& path) {
       std::string tag;
       if (hs >> tag && tag == "bipartite" &&
           (hs >> declared_users >> declared_merchants)) {
+        if (declared_users < 0 || declared_merchants < 0 ||
+            declared_users > kMaxNodeCount ||
+            declared_merchants > kMaxNodeCount) {
+          return Status::IOError(path + ":" + std::to_string(line_no) +
+                                 ": declared node counts must fit 32-bit ids");
+        }
         has_header = true;
       }
       continue;
@@ -109,15 +118,22 @@ Result<BipartiteGraph> LoadEdgeListTsv(const std::string& path) {
       return Status::IOError(path + ":" + std::to_string(line_no) +
                              ": bad weight field");
     }
+    // An id must leave room for its count (id + 1) in 32 bits.
+    if (user >= kMaxNodeCount || merchant >= kMaxNodeCount) {
+      return Status::IOError(path + ":" + std::to_string(line_no) +
+                             ": node id does not fit 32-bit ids");
+    }
     max_user = std::max(max_user, user);
     max_merchant = std::max(max_merchant, merchant);
     parsed.push_back({user, merchant, weight});
   }
 
-  uint64_t num_users =
-      has_header ? declared_users : (parsed.empty() ? 0 : max_user + 1);
-  uint64_t num_merchants =
-      has_header ? declared_merchants : (parsed.empty() ? 0 : max_merchant + 1);
+  const uint64_t num_users = has_header
+                                 ? static_cast<uint64_t>(declared_users)
+                                 : (parsed.empty() ? 0 : max_user + 1);
+  const uint64_t num_merchants =
+      has_header ? static_cast<uint64_t>(declared_merchants)
+                 : (parsed.empty() ? 0 : max_merchant + 1);
   if (has_header && !parsed.empty() &&
       (max_user >= num_users || max_merchant >= num_merchants)) {
     return Status::IOError(path + ": edge ids exceed declared node counts");

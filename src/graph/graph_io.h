@@ -11,17 +11,19 @@
 #include <string>
 
 #include "common/status.h"
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 
 /// Writes the graph to `path`, including the node-count header comment and
 /// per-edge weights when present.
-Status SaveEdgeListTsv(const BipartiteGraph& graph, const std::string& path);
+Status SaveEdgeListTsv(const CsrGraph& graph, const std::string& path);
 
 /// Reads a graph from `path`. Duplicate edges are merged with
-/// DuplicatePolicy::kSumWeights.
-Result<BipartiteGraph> LoadEdgeListTsv(const std::string& path);
+/// DuplicatePolicy::kSumWeights. Fails with IOError on a malformed line,
+/// on ids or declared node counts that do not fit 32-bit ids, and on ids
+/// beyond the declared counts.
+Result<CsrGraph> LoadEdgeListTsv(const std::string& path);
 
 }  // namespace ensemfdet
 

@@ -4,7 +4,7 @@
 
 namespace ensemfdet {
 
-std::vector<int64_t> Degrees(const BipartiteGraph& graph, Side side) {
+std::vector<int64_t> Degrees(const CsrGraph& graph, Side side) {
   std::vector<int64_t> degrees;
   if (side == Side::kUser) {
     degrees.resize(static_cast<size_t>(graph.num_users()));
@@ -22,7 +22,7 @@ std::vector<int64_t> Degrees(const BipartiteGraph& graph, Side side) {
   return degrees;
 }
 
-DegreeStats ComputeDegreeStats(const BipartiteGraph& graph, Side side) {
+DegreeStats ComputeDegreeStats(const CsrGraph& graph, Side side) {
   std::vector<int64_t> degrees = Degrees(graph, side);
   DegreeStats stats;
   stats.num_nodes = static_cast<int64_t>(degrees.size());
@@ -41,7 +41,7 @@ DegreeStats ComputeDegreeStats(const BipartiteGraph& graph, Side side) {
   return stats;
 }
 
-std::vector<int64_t> DegreeHistogram(const BipartiteGraph& graph, Side side) {
+std::vector<int64_t> DegreeHistogram(const CsrGraph& graph, Side side) {
   std::vector<int64_t> degrees = Degrees(graph, side);
   int64_t max_degree = 0;
   for (int64_t d : degrees) max_degree = std::max(max_degree, d);

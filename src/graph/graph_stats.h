@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 
@@ -24,14 +24,14 @@ struct DegreeStats {
 };
 
 /// Computes min/max/avg/isolated-count of `side`'s degrees.
-DegreeStats ComputeDegreeStats(const BipartiteGraph& graph, Side side);
+DegreeStats ComputeDegreeStats(const CsrGraph& graph, Side side);
 
 /// Histogram f_D(q): element q is the number of `side` nodes with degree
 /// exactly q (size = max degree + 1; {1,0} i.e. [1] for an empty side).
-std::vector<int64_t> DegreeHistogram(const BipartiteGraph& graph, Side side);
+std::vector<int64_t> DegreeHistogram(const CsrGraph& graph, Side side);
 
 /// Degrees of every node on `side`, indexed by node id.
-std::vector<int64_t> Degrees(const BipartiteGraph& graph, Side side);
+std::vector<int64_t> Degrees(const CsrGraph& graph, Side side);
 
 }  // namespace ensemfdet
 

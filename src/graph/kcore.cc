@@ -6,16 +6,7 @@
 
 namespace ensemfdet {
 
-namespace {
-
-// Shared bucket-peeling core (Matula-Beck / Batagelj-Zaveršnik) over any
-// graph exposing degrees and a packed-id neighbor visitor. `Graph` must
-// provide num_users()/num_merchants()/num_nodes()/user_degree()/
-// merchant_degree(); `visit_neighbors(node, fn)` calls fn(packed_other)
-// for every neighbor of packed node id `node`.
-template <typename Graph, typename VisitNeighbors>
-KCoreDecomposition BucketPeelCores(const Graph& graph,
-                                  VisitNeighbors&& visit_neighbors) {
+KCoreDecomposition ComputeKCores(const CsrGraph& graph) {
   const int64_t num_users = graph.num_users();
   const int64_t total = graph.num_nodes();
   KCoreDecomposition result;
@@ -95,45 +86,19 @@ KCoreDecomposition BucketPeelCores(const Graph& graph,
       result.merchant_core[static_cast<size_t>(node - num_users)] =
           current_core;
     }
-    visit_neighbors(node, visit_neighbor);
+    if (node < num_users) {
+      for (MerchantId m : graph.user_neighbors(static_cast<UserId>(node))) {
+        visit_neighbor(num_users + m);
+      }
+    } else {
+      for (UserId u : graph.merchant_neighbors(
+               static_cast<MerchantId>(node - num_users))) {
+        visit_neighbor(u);
+      }
+    }
   }
   result.degeneracy = current_core;
   return result;
-}
-
-}  // namespace
-
-KCoreDecomposition ComputeKCores(const BipartiteGraph& graph) {
-  const int64_t num_users = graph.num_users();
-  return BucketPeelCores(graph, [&](int64_t node, auto&& visit) {
-    if (node < num_users) {
-      for (EdgeId e : graph.user_edges(static_cast<UserId>(node))) {
-        visit(num_users + graph.edge(e).merchant);
-      }
-    } else {
-      for (EdgeId e :
-           graph.merchant_edges(static_cast<MerchantId>(node - num_users))) {
-        visit(graph.edge(e).user);
-      }
-    }
-  });
-}
-
-KCoreDecomposition ComputeKCores(const CsrGraph& graph) {
-  const int64_t num_users = graph.num_users();
-  return BucketPeelCores(graph, [&](int64_t node, auto&& visit) {
-    // Flat neighbor arrays: no EdgeId → endpoint hop.
-    if (node < num_users) {
-      for (MerchantId m : graph.user_neighbors(static_cast<UserId>(node))) {
-        visit(num_users + m);
-      }
-    } else {
-      for (UserId u :
-           graph.merchant_neighbors(static_cast<MerchantId>(node - num_users))) {
-        visit(u);
-      }
-    }
-  });
 }
 
 KCoreMembers MembersOfKCore(const KCoreDecomposition& decomposition,

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
 #include "graph/csr_graph.h"
 
 namespace ensemfdet {
@@ -27,21 +26,13 @@ struct KCoreDecomposition {
   int32_t degeneracy = 0;
 };
 
-/// Bucket-peeling core decomposition; O(|U| + |V| + |E|).
+/// Bucket-peeling core decomposition over the flat neighbor arrays;
+/// O(|U| + |V| + |E|).
 ///
 /// @post user_core/merchant_core are sized |U| / |V|; degeneracy equals
 ///       the maximum entry (0 for an edgeless graph).
 /// @note Thread-safety: pure function of an immutable graph — safe to call
 ///       concurrently on the same graph from any number of threads.
-KCoreDecomposition ComputeKCores(const BipartiteGraph& graph);
-
-/// CSR-native variant: same algorithm peeling flat neighbor arrays (no
-/// EdgeId → endpoint indirection in the inner loop).
-///
-/// @post Produces a decomposition identical to
-///       `ComputeKCores(graph.ToBipartite())` — pinned by
-///       tests/csr_parity_test.cc.
-/// @note Thread-safety: same as the adjacency-list overload.
 KCoreDecomposition ComputeKCores(const CsrGraph& graph);
 
 /// Nodes of the k-core: users and merchants with core number ≥ k,

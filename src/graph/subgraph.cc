@@ -32,7 +32,7 @@ std::vector<IdT> SortedUnique(std::span<const IdT> ids) {
 
 }  // namespace
 
-SubgraphView SubgraphFromEdges(const BipartiteGraph& parent,
+SubgraphView SubgraphFromEdges(const CsrGraph& parent,
                                std::span<const EdgeId> edge_ids,
                                double weight_scale) {
   ENSEMFDET_CHECK(weight_scale > 0.0);
@@ -49,8 +49,8 @@ SubgraphView SubgraphFromEdges(const BipartiteGraph& parent,
     merchants.reserve(unique_edges.size());
     for (EdgeId e : unique_edges) {
       ENSEMFDET_DCHECK(e >= 0 && e < parent.num_edges());
-      users.push_back(parent.edge(e).user);
-      merchants.push_back(parent.edge(e).merchant);
+      users.push_back(parent.edge_user(e));
+      merchants.push_back(parent.edge_merchant(e));
     }
     view.user_map = SortedUnique<UserId>(users);
     view.merchant_map = SortedUnique<MerchantId>(merchants);
@@ -63,16 +63,15 @@ SubgraphView SubgraphFromEdges(const BipartiteGraph& parent,
                        static_cast<int64_t>(view.merchant_map.size()));
   builder.Reserve(static_cast<int64_t>(unique_edges.size()));
   for (EdgeId e : unique_edges) {
-    const Edge& edge = parent.edge(e);
-    builder.AddEdge(user_lookup.at(edge.user),
-                    merchant_lookup.at(edge.merchant),
+    builder.AddEdge(user_lookup.at(parent.edge_user(e)),
+                    merchant_lookup.at(parent.edge_merchant(e)),
                     parent.edge_weight(e) * weight_scale);
   }
   view.graph = std::move(builder.Build(DuplicatePolicy::kKeepFirst)).value();
   return view;
 }
 
-SubgraphView InducedSubgraph(const BipartiteGraph& parent,
+SubgraphView InducedSubgraph(const CsrGraph& parent,
                              std::span<const UserId> users,
                              std::span<const MerchantId> merchants) {
   SubgraphView view;
@@ -86,9 +85,9 @@ SubgraphView InducedSubgraph(const BipartiteGraph& parent,
   // Iterate over the smaller side's incidence lists.
   for (UserId pu : view.user_map) {
     ENSEMFDET_DCHECK(pu < parent.num_users());
-    for (EdgeId e : parent.user_edges(pu)) {
-      const Edge& edge = parent.edge(e);
-      auto it = merchant_lookup.find(edge.merchant);
+    const EdgeId row_begin = parent.user_edge_begin(pu);
+    for (EdgeId e = row_begin; e < row_begin + parent.user_degree(pu); ++e) {
+      auto it = merchant_lookup.find(parent.edge_merchant(e));
       if (it == merchant_lookup.end()) continue;
       builder.AddEdge(user_lookup.at(pu), it->second, parent.edge_weight(e));
     }
@@ -97,7 +96,7 @@ SubgraphView InducedSubgraph(const BipartiteGraph& parent,
   return view;
 }
 
-SubgraphView OneSideInducedSubgraph(const BipartiteGraph& parent, Side side,
+SubgraphView OneSideInducedSubgraph(const CsrGraph& parent, Side side,
                                     std::span<const uint32_t> side_nodes) {
   // Collect every edge incident to the selected side nodes, then reuse the
   // exact-edge-set constructor so the opposite side is completed for us.
@@ -105,13 +104,15 @@ SubgraphView OneSideInducedSubgraph(const BipartiteGraph& parent, Side side,
   if (side == Side::kUser) {
     for (uint32_t u : SortedUnique<uint32_t>(side_nodes)) {
       ENSEMFDET_DCHECK(u < parent.num_users());
-      auto span = parent.user_edges(u);
-      edges.insert(edges.end(), span.begin(), span.end());
+      const EdgeId row_begin = parent.user_edge_begin(u);
+      for (EdgeId e = row_begin; e < row_begin + parent.user_degree(u); ++e) {
+        edges.push_back(e);
+      }
     }
   } else {
     for (uint32_t v : SortedUnique<uint32_t>(side_nodes)) {
       ENSEMFDET_DCHECK(v < parent.num_merchants());
-      auto span = parent.merchant_edges(v);
+      auto span = parent.merchant_edge_ids(v);
       edges.insert(edges.end(), span.begin(), span.end());
     }
   }

@@ -9,14 +9,14 @@
 #include <span>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 #include "graph/graph_stats.h"
 
 namespace ensemfdet {
 
 /// A bipartite subgraph with dense local ids and maps back to the parent.
 struct SubgraphView {
-  BipartiteGraph graph;
+  CsrGraph graph;
   /// user_map[local_user] == parent user id.
   std::vector<UserId> user_map;
   /// merchant_map[local_merchant] == parent merchant id.
@@ -32,14 +32,14 @@ struct SubgraphView {
 /// relabeling the endpoint nodes densely in ascending-parent-id order.
 /// Each edge keeps its weight scaled by `weight_scale` (Theorem 1 passes
 /// 1/p here; 1.0 leaves weights untouched). Duplicate edge ids collapse.
-SubgraphView SubgraphFromEdges(const BipartiteGraph& parent,
+SubgraphView SubgraphFromEdges(const CsrGraph& parent,
                                std::span<const EdgeId> edge_ids,
                                double weight_scale = 1.0);
 
 /// Builds the node-induced subgraph: all parent edges whose endpoints are
 /// both selected. `users` / `merchants` are parent ids (deduplicated
 /// internally).
-SubgraphView InducedSubgraph(const BipartiteGraph& parent,
+SubgraphView InducedSubgraph(const CsrGraph& parent,
                              std::span<const UserId> users,
                              std::span<const MerchantId> merchants);
 
@@ -47,7 +47,7 @@ SubgraphView InducedSubgraph(const BipartiteGraph& parent,
 /// selected `side` nodes, together with every opposite-side endpoint those
 /// edges touch (ONS semantics: sampling rows of the adjacency matrix keeps
 /// the full row contents).
-SubgraphView OneSideInducedSubgraph(const BipartiteGraph& parent, Side side,
+SubgraphView OneSideInducedSubgraph(const CsrGraph& parent, Side side,
                                     std::span<const uint32_t> side_nodes);
 
 }  // namespace ensemfdet

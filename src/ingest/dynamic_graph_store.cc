@@ -47,10 +47,9 @@ IngestMetrics& Metrics() {
 std::shared_ptr<const CsrGraph> EmptyBase(int64_t num_users,
                                           int64_t num_merchants) {
   GraphBuilder builder(num_users, num_merchants);
-  Result<BipartiteGraph> built = builder.Build();
+  Result<CsrGraph> built = builder.Build();
   ENSEMFDET_CHECK(built.ok()) << built.status().ToString();
-  return std::make_shared<const CsrGraph>(
-      CsrGraph::FromBipartite(*std::move(built)));
+  return std::make_shared<const CsrGraph>(*std::move(built));
 }
 
 }  // namespace
@@ -180,10 +179,9 @@ void DynamicGraphStore::Compact() {
     builder.AddEdge(static_cast<UserId>(key >> 32),
                     static_cast<MerchantId>(key & 0xffffffffu));
   }
-  Result<BipartiteGraph> built = builder.Build(DuplicatePolicy::kKeepFirst);
+  Result<CsrGraph> built = builder.Build(DuplicatePolicy::kKeepFirst);
   ENSEMFDET_CHECK(built.ok()) << built.status().ToString();
-  base_ = std::make_shared<const CsrGraph>(
-      CsrGraph::FromBipartite(*std::move(built)));
+  base_ = std::make_shared<const CsrGraph>(*std::move(built));
   added_.clear();
   dead_.clear();
   ++stats_.compactions;

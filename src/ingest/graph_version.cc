@@ -40,17 +40,6 @@ uint64_t GraphVersion::ContentFingerprint() const {
   return fp;
 }
 
-BipartiteGraph GraphVersion::Materialize() const {
-  GraphBuilder builder(rep_->num_users, rep_->num_merchants);
-  builder.Reserve(num_edges());
-  ForEachEdge([&builder](UserId u, MerchantId v) { builder.AddEdge(u, v); });
-  // The store validated every id at ingest and the merge emits distinct
-  // canonical edges, so Build cannot fail.
-  Result<BipartiteGraph> built = builder.Build(DuplicatePolicy::kKeepFirst);
-  ENSEMFDET_CHECK(built.ok()) << built.status().ToString();
-  return std::move(built).value();
-}
-
 std::shared_ptr<const CsrGraph> GraphVersion::MaterializeCsr() const {
   const Rep& rep = *rep_;
   if (rep.adds.empty() && rep.dead.empty()) return rep.base;
@@ -58,8 +47,14 @@ std::shared_ptr<const CsrGraph> GraphVersion::MaterializeCsr() const {
     std::lock_guard<std::mutex> lock(rep.memo_mu);
     if (rep.memo_csr != nullptr) return rep.memo_csr;
   }
-  auto csr =
-      std::make_shared<const CsrGraph>(CsrGraph::FromBipartite(Materialize()));
+  GraphBuilder builder(rep.num_users, rep.num_merchants);
+  builder.Reserve(num_edges());
+  ForEachEdge([&builder](UserId u, MerchantId v) { builder.AddEdge(u, v); });
+  // The store validated every id at ingest and the merge emits distinct
+  // canonical edges, so Build cannot fail.
+  Result<CsrGraph> built = builder.Build(DuplicatePolicy::kKeepFirst);
+  ENSEMFDET_CHECK(built.ok()) << built.status().ToString();
+  auto csr = std::make_shared<const CsrGraph>(*std::move(built));
   std::lock_guard<std::mutex> lock(rep.memo_mu);
   if (rep.memo_csr == nullptr) rep.memo_csr = std::move(csr);
   return rep.memo_csr;

@@ -26,7 +26,7 @@
 //
 // Thread-safety: a GraphVersion is an immutable value (cheap shared-state
 // copies); any number of threads may iterate one concurrently. The lazy
-// Materialize/fingerprint memos are internally synchronized.
+// MaterializeCsr/fingerprint memos are internally synchronized.
 #ifndef ENSEMFDET_INGEST_GRAPH_VERSION_H_
 #define ENSEMFDET_INGEST_GRAPH_VERSION_H_
 
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/bipartite_graph.h"
 #include "graph/csr_graph.h"
 
 namespace ensemfdet {
@@ -174,18 +173,16 @@ class GraphVersion {
   }
 
   /// Stable content hash of the live edge set —
-  /// `FingerprintGraph(Materialize())` by construction (both funnel
+  /// `FingerprintGraph(*MaterializeCsr())` by construction (both funnel
   /// through graph/fingerprint.h's FingerprintEdges), so cache keys built
-  /// from a version, its materialized adjacency form, or its CSR form are
-  /// interchangeable however the base/delta split happens to fall.
+  /// from a version or its materialized graph are interchangeable however
+  /// the base/delta split happens to fall.
   /// Lazily computed once per version (O(num_edges)), then memoized.
   uint64_t ContentFingerprint() const;
 
-  /// Rebuilds the live edge set as an adjacency-list graph. O(num_edges).
-  BipartiteGraph Materialize() const;
-
-  /// CSR form of the live edge set, lazily built once and memoized. When
-  /// the delta-log is empty the base itself is returned (zero cost).
+  /// The live edge set as a graph, lazily built once (O(num_edges)) and
+  /// memoized. When the delta-log is empty the base itself is returned
+  /// (zero cost).
   std::shared_ptr<const CsrGraph> MaterializeCsr() const;
 
   /// Serializes this version (base + delta-log + epoch) as a

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 

@@ -164,9 +164,8 @@ StreamingDetector::ComputeComponent(const std::vector<Edge>& edges,
         merchants.begin());
     builder.AddEdge(lu, lv);
   }
-  ENSEMFDET_ASSIGN_OR_RETURN(BipartiteGraph graph,
+  ENSEMFDET_ASSIGN_OR_RETURN(const CsrGraph csr,
                              builder.Build(DuplicatePolicy::kKeepFirst));
-  const CsrGraph csr = CsrGraph::FromBipartite(graph);
 
   // All randomness is content-derived: same component content + same base
   // seed → same member outputs, whenever/wherever computed. Exploration is

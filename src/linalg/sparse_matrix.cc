@@ -120,15 +120,15 @@ double CsrMatrix::FrobeniusNormSquared() const {
   return sum;
 }
 
-CsrMatrix AdjacencyMatrix(const BipartiteGraph& graph) {
+CsrMatrix AdjacencyMatrix(const CsrGraph& graph) {
   std::vector<int64_t> rows, cols;
   std::vector<double> vals;
   rows.reserve(static_cast<size_t>(graph.num_edges()));
   cols.reserve(static_cast<size_t>(graph.num_edges()));
   vals.reserve(static_cast<size_t>(graph.num_edges()));
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    rows.push_back(graph.edge(e).user);
-    cols.push_back(graph.edge(e).merchant);
+    rows.push_back(graph.edge_user(e));
+    cols.push_back(graph.edge_merchant(e));
     vals.push_back(graph.edge_weight(e));
   }
   return CsrMatrix(graph.num_users(), graph.num_merchants(), rows, cols,

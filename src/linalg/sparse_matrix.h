@@ -8,7 +8,7 @@
 #include <span>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 #include "linalg/dense.h"
 
 namespace ensemfdet {
@@ -60,7 +60,7 @@ class CsrMatrix {
 
 /// Adjacency matrix of `graph` with users as rows: W[u][v] = edge weight
 /// (1.0 for unweighted graphs).
-CsrMatrix AdjacencyMatrix(const BipartiteGraph& graph);
+CsrMatrix AdjacencyMatrix(const CsrGraph& graph);
 
 }  // namespace ensemfdet
 

@@ -5,7 +5,7 @@
 
 namespace ensemfdet {
 
-SubgraphView OneSideNodeSampler::Sample(const BipartiteGraph& graph,
+SubgraphView OneSideNodeSampler::Sample(const CsrGraph& graph,
                                         Rng* rng) const {
   const int64_t population =
       side_ == Side::kUser ? graph.num_users() : graph.num_merchants();

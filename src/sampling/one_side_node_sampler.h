@@ -25,7 +25,7 @@ class OneSideNodeSampler final : public Sampler {
   }
   Side side() const { return side_; }
 
-  SubgraphView Sample(const BipartiteGraph& graph, Rng* rng) const override;
+  SubgraphView Sample(const CsrGraph& graph, Rng* rng) const override;
 
   /// Same ⌊S·|side|⌋ node draw as Sample(); the incident-edge expansion
   /// walks the CSR rows of the selected side instead of rebuilding a

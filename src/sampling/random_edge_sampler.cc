@@ -7,7 +7,7 @@
 
 namespace ensemfdet {
 
-SubgraphView RandomEdgeSampler::Sample(const BipartiteGraph& graph,
+SubgraphView RandomEdgeSampler::Sample(const CsrGraph& graph,
                                        Rng* rng) const {
   // ⌊S·|E|⌋, but never 0 on a nonempty graph — an empty sample would make
   // the ensemble member a silent no-op.

@@ -19,7 +19,7 @@ class RandomEdgeSampler final : public Sampler {
   double ratio() const override { return ratio_; }
   SampleMethod method() const override { return SampleMethod::kRandomEdge; }
 
-  SubgraphView Sample(const BipartiteGraph& graph, Rng* rng) const override;
+  SubgraphView Sample(const CsrGraph& graph, Rng* rng) const override;
 
   /// Same ⌊S·|E|⌋ uniform draw as Sample(), emitted as sorted parent edge
   /// ids; weight_scale carries the 1/p reweighting instead of a scaled

@@ -11,11 +11,11 @@
 //
 // Each method has two faces with identical randomness:
 //
-//  * Sample() materializes a child BipartiteGraph with local→parent id
-//    maps (SubgraphView) — the reference path and what non-ensemble
-//    callers use.
+//  * Sample() materializes a child graph with local→parent id maps
+//    (SubgraphView) — the reference path and what non-ensemble callers
+//    use.
 //  * SampleEdgeMask() emits the same sample as a sorted subset of the
-//    *parent's* edge ids over its shared CsrGraph — no child graph, no id
+//    *parent's* edge ids over the shared graph — no child graph, no id
 //    remapping; node samplers select vertices then expand to incident
 //    edges via the CSR offsets. The ensemble hot loop feeds these masks
 //    straight into RunFdetCsrMasked (DESIGN.md §"Ensemble hot loop").
@@ -32,7 +32,6 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "graph/bipartite_graph.h"
 #include "graph/csr_graph.h"
 #include "graph/subgraph.h"
 
@@ -113,7 +112,7 @@ class Sampler {
   virtual SampleMethod method() const = 0;
 
   /// Draws a subgraph of `graph` using randomness from `rng`.
-  virtual SubgraphView Sample(const BipartiteGraph& graph, Rng* rng) const = 0;
+  virtual SubgraphView Sample(const CsrGraph& graph, Rng* rng) const = 0;
 
   /// Draws the same sample as Sample() (identical rng consumption) as an
   /// ascending, duplicate-free subset of `graph`'s own edge ids, appended
@@ -121,8 +120,7 @@ class Sampler {
   /// built; feed the mask to RunFdetCsrMasked with the returned
   /// weight_scale.
   ///
-  /// @pre `graph` came from CsrGraph::FromBipartite (canonical edge
-  ///      order); scratch/out_edges non-null.
+  /// @pre scratch/out_edges non-null.
   virtual EdgeMaskInfo SampleEdgeMask(const CsrGraph& graph, Rng* rng,
                                       EdgeMaskScratch* scratch,
                                       std::vector<EdgeId>* out_edges)

@@ -5,7 +5,7 @@
 
 namespace ensemfdet {
 
-SubgraphView TwoSideNodeSampler::Sample(const BipartiteGraph& graph,
+SubgraphView TwoSideNodeSampler::Sample(const CsrGraph& graph,
                                         Rng* rng) const {
   auto draw = [&](int64_t population) {
     return rng->SampleWithoutReplacement(

@@ -16,7 +16,7 @@ class TwoSideNodeSampler final : public Sampler {
   double ratio() const override { return ratio_; }
   SampleMethod method() const override { return SampleMethod::kTwoSide; }
 
-  SubgraphView Sample(const BipartiteGraph& graph, Rng* rng) const override;
+  SubgraphView Sample(const CsrGraph& graph, Rng* rng) const override;
 
   /// Same user-then-merchant node draws as Sample(); the cross-section is
   /// collected by walking selected users' CSR rows against an

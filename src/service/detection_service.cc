@@ -268,7 +268,6 @@ void DetectionService::FinishLocked(const std::shared_ptr<Job>& job,
   // graph snapshot and request payload now, so retention doesn't pin
   // whole graphs or replay transaction logs in memory for up to
   // max_finished_jobs completions.
-  job->snapshot.graph.reset();
   job->snapshot.csr.reset();
   job->request = JobRequest();
   --pending_;
@@ -308,10 +307,7 @@ Result<JobResult> DetectionService::ExecuteEnsemble(const Job& job) {
 
   WallTimer timer;
   EnsemFDet detector(job.request.ensemble);
-  // Run the zero-materialization hot path on the snapshot's shared CSR
-  // (built once at Publish) — no per-job re-conversion of the adjacency
-  // graph.
-  ENSEMFDET_CHECK(job.snapshot.csr != nullptr);
+  // Run the zero-materialization hot path on the snapshot's shared graph.
   ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport report,
                              detector.Run(*job.snapshot.csr, pool_));
   result.seconds = timer.ElapsedSeconds();
@@ -330,16 +326,12 @@ Result<JobResult> DetectionService::ExecuteBaseline(const Job& job) {
   result.graph_fingerprint = job.snapshot.fingerprint;
   result.graph_version = job.snapshot.version;
 
-  const BipartiteGraph& graph = *job.snapshot.graph;
+  const CsrGraph& graph = *job.snapshot.csr;
   WallTimer timer;
   switch (job.request.detector) {
     case DetectorKind::kFraudar: {
-      // Peel the snapshot's shared CSR form directly (Publish always
-      // materializes it alongside the adjacency graph).
-      ENSEMFDET_CHECK(job.snapshot.csr != nullptr);
-      ENSEMFDET_ASSIGN_OR_RETURN(
-          FraudarResult fraudar,
-          RunFraudar(*job.snapshot.csr, FraudarConfig{}));
+      ENSEMFDET_ASSIGN_OR_RETURN(FraudarResult fraudar,
+                                 RunFraudar(graph, FraudarConfig{}));
       // Suspiciousness = φ of the densest detected block containing the
       // user (blocks are disjoint, so "densest" is "its" block).
       result.user_scores.assign(static_cast<size_t>(graph.num_users()), 0.0);

@@ -23,8 +23,9 @@
 //    ensemble splits its RNG per member, so reports are bit-identical at
 //    any pool width and any submission interleaving.
 //  * No pool deadlock — jobs run *on* pool workers and fan out on the
-//    same pool; ThreadPool::ParallelFor has the caller participate in its
-//    own chunks, so a full pool still makes progress.
+//    same pool; ThreadPool::ParallelFor makes the caller a participant
+//    that drains its own deque and steals the rest, so a full pool still
+//    makes progress (the job's worker can run every member itself).
 #ifndef ENSEMFDET_SERVICE_DETECTION_SERVICE_H_
 #define ENSEMFDET_SERVICE_DETECTION_SERVICE_H_
 
@@ -254,9 +255,8 @@ class DetectionService {
   /// InvalidArgument on a malformed request.
   ///
   /// @pre For non-windowed jobs, `request.graph_name` is published in the
-  ///      registry at call time (the snapshot — graph, CSR form, and
-  ///      fingerprint — is captured here; later re-publishes don't affect
-  ///      the job).
+  ///      registry at call time (the snapshot — graph and fingerprint —
+  ///      is captured here; later re-publishes don't affect the job).
   /// @post On OK, pending_jobs() was below max_pending_jobs and the job
   ///       is queued (or already finished, when pool == nullptr).
   Result<JobId> Submit(JobRequest request);

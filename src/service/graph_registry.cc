@@ -1,42 +1,34 @@
 #include "service/graph_registry.h"
 
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "storage/snapshot_reader.h"
 #include "storage/snapshot_writer.h"
 
 namespace ensemfdet {
 
-Result<GraphSnapshot> GraphRegistry::Publish(const std::string& name,
-                                             BipartiteGraph graph) {
-  return Publish(name,
-                 std::make_shared<const BipartiteGraph>(std::move(graph)));
-}
-
-Result<GraphSnapshot> GraphRegistry::Publish(
-    const std::string& name, std::shared_ptr<const BipartiteGraph> graph) {
-  if (name.empty()) {
-    return Status::InvalidArgument("registry: graph name must be non-empty");
-  }
-  if (graph == nullptr) {
-    return Status::InvalidArgument("registry: graph must be non-null");
-  }
-  // Fingerprint and CSR conversion outside the lock: both scan every edge.
-  const uint64_t fingerprint = FingerprintGraph(*graph);
-  auto csr = std::make_shared<const CsrGraph>(CsrGraph::FromBipartite(*graph));
-
+GraphSnapshot GraphRegistry::Install(const std::string& name,
+                                     uint64_t fingerprint,
+                                     std::shared_ptr<const CsrGraph> csr) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = entries_[name];
   entry.version += 1;
   entry.fingerprint = fingerprint;
-  entry.graph = std::move(graph);
   entry.csr = std::move(csr);
-  return GraphSnapshot{name, entry.version, entry.fingerprint, entry.graph,
-                       entry.csr};
+  return GraphSnapshot{name, entry.version, entry.fingerprint, entry.csr};
+}
+
+Result<GraphSnapshot> GraphRegistry::Publish(const std::string& name,
+                                             CsrGraph graph) {
+  if (name.empty()) {
+    return Status::InvalidArgument("registry: graph name must be non-empty");
+  }
+  // Fingerprint outside the lock: it scans every edge.
+  const uint64_t fingerprint = FingerprintGraph(graph);
+  return Install(name, fingerprint,
+                 std::make_shared<const CsrGraph>(std::move(graph)));
 }
 
 Result<GraphSnapshot> GraphRegistry::PublishVersion(
@@ -44,24 +36,15 @@ Result<GraphSnapshot> GraphRegistry::PublishVersion(
   if (name.empty()) {
     return Status::InvalidArgument("registry: graph name must be non-empty");
   }
-  // Materialization and fingerprinting outside the lock; the CSR is the
-  // version's own memoized copy (shared with every other consumer of the
-  // version), the adjacency form is rebuilt from the same live edge set.
+  // Materialization and fingerprinting outside the lock; the graph is the
+  // version's own memoized copy, shared with every other consumer of the
+  // version.
   std::shared_ptr<const CsrGraph> csr = version.MaterializeCsr();
-  auto graph = std::make_shared<const BipartiteGraph>(version.Materialize());
   const uint64_t fingerprint = version.ContentFingerprint();
   // The representation-independence contract this API exists for.
-  ENSEMFDET_DCHECK(FingerprintGraph(*graph) == fingerprint)
+  ENSEMFDET_DCHECK(FingerprintGraph(*csr) == fingerprint)
       << "GraphVersion fingerprint diverged from the materialized graph";
-
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  entry.version += 1;
-  entry.fingerprint = fingerprint;
-  entry.graph = std::move(graph);
-  entry.csr = std::move(csr);
-  return GraphSnapshot{name, entry.version, entry.fingerprint, entry.graph,
-                       entry.csr};
+  return Install(name, fingerprint, std::move(csr));
 }
 
 Status GraphRegistry::SaveSnapshot(const std::string& name,
@@ -81,22 +64,9 @@ Result<GraphSnapshot> GraphRegistry::LoadSnapshot(const std::string& name,
                              storage::MappedCsrGraph::Open(path));
   // Never publish content that does not hash to the writer's claim.
   ENSEMFDET_RETURN_NOT_OK(mapped.VerifyFingerprint());
-  // The CSR stays a zero-copy view (its backing handle keeps the mapping
-  // alive); the adjacency form is materialized from it once for the
-  // baseline detectors and evaluation paths.
-  std::shared_ptr<const CsrGraph> csr = mapped.shared();
-  auto graph =
-      std::make_shared<const BipartiteGraph>(csr->ToBipartite());
-  const uint64_t fingerprint = mapped.fingerprint();
-
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  entry.version += 1;
-  entry.fingerprint = fingerprint;
-  entry.graph = std::move(graph);
-  entry.csr = std::move(csr);
-  return GraphSnapshot{name, entry.version, entry.fingerprint, entry.graph,
-                       entry.csr};
+  // The graph stays a zero-copy view; its backing handle keeps the
+  // mapping alive.
+  return Install(name, mapped.fingerprint(), mapped.shared());
 }
 
 Result<GraphSnapshot> GraphRegistry::Get(const std::string& name) const {
@@ -106,8 +76,7 @@ Result<GraphSnapshot> GraphRegistry::Get(const std::string& name) const {
     return Status::NotFound("registry: no graph named '" + name + "'");
   }
   const Entry& entry = it->second;
-  return GraphSnapshot{name, entry.version, entry.fingerprint, entry.graph,
-                       entry.csr};
+  return GraphSnapshot{name, entry.version, entry.fingerprint, entry.csr};
 }
 
 Status GraphRegistry::Remove(const std::string& name) {

@@ -1,6 +1,8 @@
-// GraphRegistry: a thread-safe catalog of named, immutable BipartiteGraph
+// GraphRegistry: a thread-safe catalog of named, immutable CsrGraph
 // snapshots — the service layer's source of truth for "which graph does
-// this request mean".
+// this request mean". Each snapshot holds exactly one copy of its graph:
+// the built graph for Publish, the version's memoized CSR for
+// PublishVersion, a zero-copy file-mapped view for LoadSnapshot.
 //
 // Publishing a graph under an existing name atomically replaces the entry
 // (version bumps, fingerprint recomputes); readers holding the previous
@@ -19,7 +21,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/bipartite_graph.h"
 #include "graph/csr_graph.h"
 // FingerprintGraph historically lived here; it moved to the graph layer so
 // the ingest subsystem can stamp GraphVersions without a service
@@ -30,18 +31,15 @@
 
 namespace ensemfdet {
 
-/// One published graph: shared, immutable, fingerprinted. Both
-/// representations are materialized at Publish() time so every job over
-/// the snapshot shares the same flat CSR arrays instead of re-converting.
+/// One published graph: shared, immutable, fingerprinted. Every job over
+/// the snapshot shares the same flat arrays.
 struct GraphSnapshot {
   std::string name;
   /// Monotonically increasing per name, starting at 1.
   uint64_t version = 0;
-  /// FingerprintGraph(*graph) == FingerprintGraph(*csr).
+  /// FingerprintGraph(*csr).
   uint64_t fingerprint = 0;
-  std::shared_ptr<const BipartiteGraph> graph;
-  /// CSR form of the same graph, built once at Publish(); immutable and
-  /// safe to share across ThreadPool workers.
+  /// The graph; immutable and safe to share across ThreadPool workers.
   std::shared_ptr<const CsrGraph> csr;
 };
 
@@ -54,35 +52,29 @@ class GraphRegistry {
   /// Publishes `graph` under `name`, replacing any existing entry (the old
   /// snapshot stays valid for holders). Returns the new snapshot.
   /// Fails with InvalidArgument on an empty name.
-  Result<GraphSnapshot> Publish(const std::string& name,
-                                BipartiteGraph graph);
-
-  /// Publishes an already-shared graph without copying it.
-  Result<GraphSnapshot> Publish(const std::string& name,
-                                std::shared_ptr<const BipartiteGraph> graph);
+  Result<GraphSnapshot> Publish(const std::string& name, CsrGraph graph);
 
   /// Publishes the live edge set of an incremental-ingest GraphVersion
-  /// under `name`. The snapshot's CSR reuses the version's memoized
+  /// under `name`. The snapshot's graph is the version's memoized
   /// MaterializeCsr() (the frozen base itself when the delta-log is
   /// empty), and the snapshot fingerprint is
   /// version.ContentFingerprint() — equal to FingerprintGraph of the
-  /// materialized adjacency and CSR forms by the graph/fingerprint.h
-  /// contract, so ResultCache keys stay representation-independent: a
-  /// batch job over a streamed-then-registered graph and one over the
-  /// same content published from a BipartiteGraph share cache entries.
+  /// materialized graph by the graph/fingerprint.h contract, so
+  /// ResultCache keys stay representation-independent: a batch job over a
+  /// streamed-then-registered graph and one over the same content
+  /// published from a built graph share cache entries.
   Result<GraphSnapshot> PublishVersion(const std::string& name,
                                        const GraphVersion& version);
 
-  /// Writes the named snapshot's CSR form as a kCsrGraph .efg binary
+  /// Writes the named snapshot's graph as a kCsrGraph .efg binary
   /// snapshot (storage/snapshot_writer.h) — the registry's warm-start /
   /// snapshot-shipping format. NotFound when `name` is not published.
   Status SaveSnapshot(const std::string& name,
                       const std::string& path) const;
 
   /// Publishes the graph stored in an .efg snapshot under `name`, serving
-  /// the CSR form zero-copy off a file mapping (ensemble jobs run
-  /// directly on the mapped arrays; the adjacency form is materialized
-  /// for baseline detectors). The file's content fingerprint is
+  /// it zero-copy off a file mapping (every job runs directly on the
+  /// mapped arrays). The file's content fingerprint is
   /// re-verified against the mapped payload before anything is published
   /// — and it becomes the snapshot's fingerprint, so ResultCache keys
   /// stay representation-independent: a job over a snapshot-loaded graph
@@ -106,9 +98,12 @@ class GraphRegistry {
   struct Entry {
     uint64_t version = 0;
     uint64_t fingerprint = 0;
-    std::shared_ptr<const BipartiteGraph> graph;
     std::shared_ptr<const CsrGraph> csr;
   };
+
+  /// Installs a new version of `name` (takes the lock).
+  GraphSnapshot Install(const std::string& name, uint64_t fingerprint,
+                        std::shared_ptr<const CsrGraph> csr);
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;

@@ -232,7 +232,7 @@ Result<CsrSpans> ParseCsrSections(const Raw& raw, int64_t num_users,
 /// in-range rows on both sides, edge_users consistent with the user rows,
 /// merchant edge-id cross-references consistent with the user side, and
 /// finite weights. A graph that passes is indistinguishable (to every
-/// consumer) from one FromBipartite built.
+/// consumer) from one GraphBuilder built.
 Status ValidateCsrStructure(const CsrSpans& s, int64_t num_users,
                             int64_t num_merchants) {
   if (s.user_offsets[0] != 0 ||

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/bipartite_graph.h"
 #include "graph/csr_graph.h"
 #include "storage/mapped_file.h"
 #include "storage/snapshot_format.h"
@@ -63,7 +62,7 @@ Result<CsrGraph> LoadCsrGraphSnapshot(const std::string& path);
 /// Open() validates the header, section table, and every CSR structural
 /// invariant (offsets monotone, rows strictly ascending and in range,
 /// edge-id cross-references consistent, weights finite) so downstream
-/// peeling can trust the view exactly like a FromBipartite-built graph.
+/// peeling can trust the view exactly like a GraphBuilder-built graph.
 ///
 /// @note Thread-safety: immutable after Open; share freely.
 class MappedCsrGraph {

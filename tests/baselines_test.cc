@@ -15,7 +15,7 @@ namespace ensemfdet {
 namespace {
 
 // Two planted blocks (10×4 and 6×3) in a 150×60 sparse background.
-BipartiteGraph TwoBlockGraph() {
+CsrGraph TwoBlockGraph() {
   GraphBuilder b(150, 60);
   for (UserId u = 0; u < 10; ++u) {
     for (MerchantId v = 0; v < 4; ++v) b.AddEdge(u, v);

@@ -133,8 +133,9 @@ TEST(ComponentsTest, EveryNodeLabeled) {
     EXPECT_LT(label, cc.num_components());
   }
   // Endpoints of every edge share a label.
-  for (const Edge& e : g.edges()) {
-    EXPECT_EQ(cc.user_component[e.user], cc.merchant_component[e.merchant]);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_EQ(cc.user_component[g.edge_user(e)],
+              cc.merchant_component[g.edge_merchant(e)]);
   }
 }
 
@@ -222,15 +223,15 @@ TEST(KCoreTest, CoreContainmentProperty) {
     // Degree within the core must be >= k for every member.
     for (UserId u : members.users) {
       int64_t internal = 0;
-      for (EdgeId e : g.user_edges(u)) {
-        internal += merchants.count(g.edge(e).merchant) > 0;
+      for (MerchantId v : g.user_neighbors(u)) {
+        internal += merchants.count(v) > 0;
       }
       EXPECT_GE(internal, k) << "user " << u << " in " << k << "-core";
     }
     for (MerchantId v : members.merchants) {
       int64_t internal = 0;
-      for (EdgeId e : g.merchant_edges(v)) {
-        internal += users.count(g.edge(e).user) > 0;
+      for (UserId u : g.merchant_neighbors(v)) {
+        internal += users.count(u) > 0;
       }
       EXPECT_GE(internal, k) << "merchant " << v << " in " << k << "-core";
     }

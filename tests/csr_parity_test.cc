@@ -1,9 +1,9 @@
-// Bit-exact parity of the CSR hot path against the seed adjacency-list
-// implementations (ISSUE 2 acceptance criterion): on random graphs —
-// weighted and unweighted, dense and sparse, with isolated nodes — the
-// CSR peeler, CSR k-core, and in-place CSR FDET must reproduce the seed's
-// scores, suspicious sets, traces, and removal orders exactly (== on
-// doubles, not near).
+// Bit-exact parity of the in-place peeling hot path against the seed
+// implementations kept as referees: on random graphs — weighted and
+// unweighted, dense and sparse, with isolated nodes — the in-place peeler
+// and in-place FDET must reproduce the seed peeler's and the materializing
+// FDET's scores, suspicious sets, traces, and removal orders exactly (== on
+// doubles, not near); the bucket k-core must match a naive peel.
 #include <algorithm>
 #include <tuple>
 #include <vector>
@@ -25,9 +25,9 @@ namespace {
 // Random bipartite graph with a planted dense block (so FDET finds real
 // structure, not just noise), background noise, and a tail of isolated
 // nodes (the compaction edge case).
-BipartiteGraph RandomPeelGraph(int64_t users, int64_t merchants,
-                               int64_t noise_edges, uint64_t seed,
-                               bool weighted) {
+CsrGraph RandomPeelGraph(int64_t users, int64_t merchants,
+                         int64_t noise_edges, uint64_t seed,
+                         bool weighted) {
   GraphBuilder b(users, merchants);
   Rng rng(seed);
   const int64_t block_users = std::max<int64_t>(3, users / 8);
@@ -78,8 +78,7 @@ class CsrParityTest
 
 TEST_P(CsrParityTest, PeelerBitExact) {
   const auto [seed, weighted] = GetParam();
-  BipartiteGraph g = RandomPeelGraph(80, 50, 300, seed, weighted);
-  CsrGraph csr = CsrGraph::FromBipartite(g);
+  CsrGraph g = RandomPeelGraph(80, 50, 300, seed, weighted);
   for (ColumnWeightKind kind :
        {ColumnWeightKind::kLogarithmic, ColumnWeightKind::kInverse,
         ColumnWeightKind::kConstant}) {
@@ -87,15 +86,65 @@ TEST_P(CsrParityTest, PeelerBitExact) {
     density.weight_kind = kind;
     ExpectPeelResultsIdentical(
         PeelDensestBlock(g, density, /*keep_trace=*/true),
-        PeelDensestBlockCsr(csr, density, /*keep_trace=*/true));
+        PeelDensestBlockCsr(g, density, /*keep_trace=*/true));
   }
 }
 
-TEST_P(CsrParityTest, KCoreIdentical) {
+// Referee for the bucket peel: core(x) is the largest k such that x
+// survives repeatedly deleting every node of degree < k. O(k · |E|).
+KCoreDecomposition NaiveKCores(const CsrGraph& g) {
+  KCoreDecomposition out;
+  out.user_core.assign(static_cast<size_t>(g.num_users()), 0);
+  out.merchant_core.assign(static_cast<size_t>(g.num_merchants()), 0);
+  for (int32_t k = 1;; ++k) {
+    std::vector<bool> user_alive(static_cast<size_t>(g.num_users()), true);
+    std::vector<bool> merchant_alive(static_cast<size_t>(g.num_merchants()),
+                                     true);
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (UserId u = 0; u < g.num_users(); ++u) {
+        if (!user_alive[u]) continue;
+        int64_t degree = 0;
+        for (MerchantId v : g.user_neighbors(u)) degree += merchant_alive[v];
+        if (degree < k) {
+          user_alive[u] = false;
+          changed = true;
+        }
+      }
+      for (MerchantId v = 0; v < g.num_merchants(); ++v) {
+        if (!merchant_alive[v]) continue;
+        int64_t degree = 0;
+        for (UserId u : g.merchant_neighbors(v)) degree += user_alive[u];
+        if (degree < k) {
+          merchant_alive[v] = false;
+          changed = true;
+        }
+      }
+    }
+    bool any = false;
+    for (UserId u = 0; u < g.num_users(); ++u) {
+      if (user_alive[u]) {
+        out.user_core[u] = k;
+        any = true;
+      }
+    }
+    for (MerchantId v = 0; v < g.num_merchants(); ++v) {
+      if (merchant_alive[v]) {
+        out.merchant_core[v] = k;
+        any = true;
+      }
+    }
+    if (!any) break;
+    out.degeneracy = k;
+  }
+  return out;
+}
+
+TEST_P(CsrParityTest, KCoreMatchesNaivePeel) {
   const auto [seed, weighted] = GetParam();
-  BipartiteGraph g = RandomPeelGraph(90, 60, 400, seed, weighted);
-  KCoreDecomposition a = ComputeKCores(g);
-  KCoreDecomposition b = ComputeKCores(CsrGraph::FromBipartite(g));
+  CsrGraph g = RandomPeelGraph(90, 60, 400, seed, weighted);
+  KCoreDecomposition a = NaiveKCores(g);
+  KCoreDecomposition b = ComputeKCores(g);
   EXPECT_EQ(a.user_core, b.user_core);
   EXPECT_EQ(a.merchant_core, b.merchant_core);
   EXPECT_EQ(a.degeneracy, b.degeneracy);
@@ -103,7 +152,7 @@ TEST_P(CsrParityTest, KCoreIdentical) {
 
 TEST_P(CsrParityTest, FdetBitExactAutoElbow) {
   const auto [seed, weighted] = GetParam();
-  BipartiteGraph g = RandomPeelGraph(80, 50, 350, seed, weighted);
+  CsrGraph g = RandomPeelGraph(80, 50, 350, seed, weighted);
   FdetConfig cfg;
   cfg.max_blocks = 12;
   auto reference = RunFdetReference(g, cfg).ValueOrDie();
@@ -113,7 +162,7 @@ TEST_P(CsrParityTest, FdetBitExactAutoElbow) {
 
 TEST_P(CsrParityTest, FdetBitExactFixedK) {
   const auto [seed, weighted] = GetParam();
-  BipartiteGraph g = RandomPeelGraph(70, 45, 300, seed, weighted);
+  CsrGraph g = RandomPeelGraph(70, 45, 300, seed, weighted);
   FdetConfig cfg;
   cfg.policy = TruncationPolicy::kFixedK;
   cfg.fixed_k = 6;
@@ -129,20 +178,20 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()));
 
 TEST(CsrParityDegenerateTest, EmptyGraph) {
-  BipartiteGraph g;
+  CsrGraph g;
   ExpectPeelResultsIdentical(
       PeelDensestBlock(g, {}, true),
-      PeelDensestBlockCsr(CsrGraph::FromBipartite(g), {}, true));
+      PeelDensestBlockCsr(g, {}, true));
   ExpectFdetResultsIdentical(RunFdetReference(g, {}).ValueOrDie(),
                              RunFdet(g, {}).ValueOrDie());
 }
 
 TEST(CsrParityDegenerateTest, EdgelessNodes) {
   GraphBuilder b(6, 4);
-  BipartiteGraph g = b.Build().ValueOrDie();
+  CsrGraph g = b.Build().ValueOrDie();
   ExpectPeelResultsIdentical(
       PeelDensestBlock(g, {}, true),
-      PeelDensestBlockCsr(CsrGraph::FromBipartite(g), {}, true));
+      PeelDensestBlockCsr(g, {}, true));
   ExpectFdetResultsIdentical(RunFdetReference(g, {}).ValueOrDie(),
                              RunFdet(g, {}).ValueOrDie());
 }
@@ -150,10 +199,10 @@ TEST(CsrParityDegenerateTest, EdgelessNodes) {
 TEST(CsrParityDegenerateTest, SingleEdge) {
   GraphBuilder b(3, 3);
   b.AddEdge(2, 1);
-  BipartiteGraph g = b.Build().ValueOrDie();
+  CsrGraph g = b.Build().ValueOrDie();
   ExpectPeelResultsIdentical(
       PeelDensestBlock(g, {}, true),
-      PeelDensestBlockCsr(CsrGraph::FromBipartite(g), {}, true));
+      PeelDensestBlockCsr(g, {}, true));
   ExpectFdetResultsIdentical(RunFdetReference(g, {}).ValueOrDie(),
                              RunFdet(g, {}).ValueOrDie());
 }
@@ -162,10 +211,10 @@ TEST(CsrParityDegenerateTest, StarGraph) {
   // One merchant connected to every user — a worst case for tie-breaking.
   GraphBuilder b(12, 1);
   for (UserId u = 0; u < 12; ++u) b.AddEdge(u, 0);
-  BipartiteGraph g = b.Build().ValueOrDie();
+  CsrGraph g = b.Build().ValueOrDie();
   ExpectPeelResultsIdentical(
       PeelDensestBlock(g, {}, true),
-      PeelDensestBlockCsr(CsrGraph::FromBipartite(g), {}, true));
+      PeelDensestBlockCsr(g, {}, true));
   ExpectFdetResultsIdentical(RunFdetReference(g, {}).ValueOrDie(),
                              RunFdet(g, {}).ValueOrDie());
 }
@@ -173,12 +222,11 @@ TEST(CsrParityDegenerateTest, StarGraph) {
 TEST(CsrParityTestInvalidConfig, CsrPathValidatesLikeReference) {
   GraphBuilder b(2, 2);
   b.AddEdge(0, 0);
-  BipartiteGraph g = b.Build().ValueOrDie();
+  CsrGraph g = b.Build().ValueOrDie();
   FdetConfig bad;
   bad.max_blocks = 0;
   EXPECT_FALSE(RunFdet(g, bad).ok());
   EXPECT_FALSE(RunFdetReference(g, bad).ok());
-  EXPECT_FALSE(RunFdetCsr(CsrGraph::FromBipartite(g), bad).ok());
 }
 
 // The partitioned runner's single-component fast path (no subgraph
@@ -191,7 +239,7 @@ TEST(CsrParityPartitionedTest, SingleComponentFastPathMatchesReference) {
     b.AddEdge(u, static_cast<MerchantId>(u % 10));
     b.AddEdge(u, static_cast<MerchantId>(rng.NextBounded(10)));
   }
-  BipartiteGraph g = b.Build().ValueOrDie();
+  CsrGraph g = b.Build().ValueOrDie();
 
   PartitionedFdetConfig pcfg;
   pcfg.fdet.max_blocks = 8;

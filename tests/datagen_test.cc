@@ -136,9 +136,8 @@ TEST(GeneratorTest, FraudUsersConnectToGroupMerchants) {
   // Every planted fraud user must have at least one within-block edge.
   for (UserId u : data.planted_fraud_users) {
     bool has_block_edge = false;
-    for (EdgeId e : data.graph.user_edges(u)) {
-      has_block_edge |=
-          fraud_merchants.count(data.graph.edge(e).merchant) > 0;
+    for (MerchantId v : data.graph.user_neighbors(u)) {
+      has_block_edge |= fraud_merchants.count(v) > 0;
     }
     EXPECT_TRUE(has_block_edge) << "fraud user " << u;
   }

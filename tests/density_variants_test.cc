@@ -56,7 +56,7 @@ TEST(ColumnWeightKindTest, DiscountOrderingAtHighDegree) {
 // the benign cluster highest (raw density 204/71 ≈ 2.9 vs the fraud
 // block's 18/9 = 2.0); the logarithmic discount inverts that (0.67 vs
 // 0.83) because the promoted merchants' degree is huge.
-BipartiteGraph CamouflageTrapGraph() {
+CsrGraph CamouflageTrapGraph() {
   GraphBuilder b(80, 30);
   // Fraud block: users 0-5 × merchants 0-2 (obscure).
   for (UserId u = 0; u < 6; ++u) {

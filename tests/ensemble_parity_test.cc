@@ -7,6 +7,7 @@
 // weighted votes (== on doubles, no tolerance), and identical per-member
 // sample shapes and block counts.
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,7 @@ namespace {
 
 // A dense 12×5 planted block in a 150×60 sparse background, plus a second
 // shallower 6×4 block so FDET finds several blocks per member.
-BipartiteGraph TestGraph(uint64_t noise_seed, bool weighted) {
+CsrGraph TestGraph(uint64_t noise_seed, bool weighted) {
   GraphBuilder b(150, 60);
   for (UserId u = 0; u < 12; ++u) {
     for (MerchantId v = 0; v < 5; ++v) b.AddEdge(u, v);
@@ -94,7 +95,7 @@ TEST(EnsembleParityTest, AllMethodsSeedsRatiosAndPoolWidths) {
   ThreadPool pool4(4);
   ThreadPool* pools[] = {nullptr, &pool2, &pool4};
 
-  const BipartiteGraph graph = TestGraph(/*noise_seed=*/41, false);
+  const CsrGraph graph = TestGraph(/*noise_seed=*/41, false);
   for (SampleMethod method : kAllMethods) {
     for (uint64_t seed : {7u, 77u, 1234u}) {
       for (double ratio : {0.15, 0.4}) {
@@ -122,24 +123,32 @@ TEST(EnsembleParityTest, AllMethodsSeedsRatiosAndPoolWidths) {
   }
 }
 
-TEST(EnsembleParityTest, CsrOverloadMatchesAdjacencyOverload) {
-  const BipartiteGraph graph = TestGraph(43, false);
-  const CsrGraph csr = CsrGraph::FromBipartite(graph);
+TEST(EnsembleParityTest, ViewMatchesOwningGraph) {
+  // A zero-copy view over another graph's arrays (how mmap-served
+  // snapshots reach the ensemble) must be indistinguishable from the
+  // owning graph.
+  auto owner = std::make_shared<const CsrGraph>(TestGraph(43, false));
+  const CsrGraph view = CsrGraph::WrapExternal(
+      owner->num_users(), owner->num_merchants(), owner->user_offsets(),
+      owner->user_neighbors_flat(), owner->edge_users_flat(),
+      owner->merchant_offsets(), owner->merchant_neighbors_flat(),
+      owner->merchant_edge_ids_flat(), owner->weights(), owner);
+  ASSERT_TRUE(view.is_view());
   EnsemFDetConfig cfg;
   cfg.num_samples = 8;
   cfg.ratio = 0.25;
   cfg.seed = 9;
   EnsemFDet detector(cfg);
-  const EnsemFDetReport a = detector.Run(graph).ValueOrDie();
-  const EnsemFDetReport b = detector.Run(csr).ValueOrDie();
-  ExpectIdenticalReports(a, b, "csr-vs-adjacency overload");
+  const EnsemFDetReport a = detector.Run(*owner).ValueOrDie();
+  const EnsemFDetReport b = detector.Run(view).ValueOrDie();
+  ExpectIdenticalReports(a, b, "view-vs-owning graph");
 }
 
 TEST(EnsembleParityTest, ReweightedEdgeSamplingOnWeightedGraph) {
   // Theorem 1's 1/p scaling exercises the weight_scale plumbing: the hot
   // path scales on the fly, the reference stores pre-scaled child weights
   // — results must still be identical, including on a weighted parent.
-  const BipartiteGraph graph = TestGraph(101, /*weighted=*/true);
+  const CsrGraph graph = TestGraph(101, /*weighted=*/true);
   ThreadPool pool4(4);
   for (double ratio : {0.2, 0.5}) {
     EnsemFDetConfig cfg;
@@ -159,7 +168,7 @@ TEST(EnsembleParityTest, ReweightedEdgeSamplingOnWeightedGraph) {
 TEST(EnsembleParityTest, ArenaIsWarmAfterFirstMembers) {
   // Sequential run: every member after the first few runs entirely out of
   // the calling thread's warm arena — zero growth events.
-  const BipartiteGraph graph = TestGraph(55, false);
+  const CsrGraph graph = TestGraph(55, false);
   EnsemFDetConfig cfg;
   cfg.num_samples = 10;
   cfg.ratio = 0.3;
@@ -179,9 +188,9 @@ TEST(EnsembleParityTest, DegenerateGraphs) {
   GraphBuilder edgeless(5, 3);
   GraphBuilder single(2, 2);
   single.AddEdge(1, 0);
-  const BipartiteGraph graphs[] = {edgeless.Build().ValueOrDie(),
+  const CsrGraph graphs[] = {edgeless.Build().ValueOrDie(),
                                    single.Build().ValueOrDie()};
-  for (const BipartiteGraph& graph : graphs) {
+  for (const CsrGraph& graph : graphs) {
     for (SampleMethod method : kAllMethods) {
       EnsemFDetConfig cfg;
       cfg.method = method;

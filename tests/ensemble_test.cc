@@ -12,7 +12,7 @@ namespace ensemfdet {
 namespace {
 
 // A dense 12×5 planted block in a 200×80 sparse background.
-BipartiteGraph PlantedGraph() {
+CsrGraph PlantedGraph() {
   GraphBuilder b(200, 80);
   for (UserId u = 0; u < 12; ++u) {
     for (MerchantId v = 0; v < 5; ++v) b.AddEdge(u, v);

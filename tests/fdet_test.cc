@@ -13,7 +13,7 @@ namespace {
 
 // Three complete blocks of comparable density plus much sparser noise —
 // the plateau-then-cliff φ profile the Δ² truncation point expects.
-BipartiteGraph ThreeBlockGraph() {
+CsrGraph ThreeBlockGraph() {
   GraphBuilder b(100, 60);
   // Block A: users 0-9 × merchants 0-4.
   for (UserId u = 0; u < 10; ++u) {

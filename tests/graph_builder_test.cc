@@ -1,10 +1,11 @@
 #include "graph/graph_builder.h"
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "graph/bipartite_graph.h"
+#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 namespace {
@@ -65,11 +66,11 @@ TEST(GraphBuilderTest, UserAdjSortedByMerchant) {
   b.AddEdge(0, 4);
   b.AddEdge(0, 0);
   auto g = b.Build().ValueOrDie();
-  auto edges = g.user_edges(0);
-  ASSERT_EQ(edges.size(), 4u);
+  auto merchants = g.user_neighbors(0);
+  ASSERT_EQ(merchants.size(), 4u);
   MerchantId prev = 0;
-  for (size_t i = 0; i < edges.size(); ++i) {
-    MerchantId m = g.edge(edges[i]).merchant;
+  for (size_t i = 0; i < merchants.size(); ++i) {
+    MerchantId m = merchants[i];
     if (i > 0) {
       EXPECT_GT(m, prev);
     }
@@ -83,7 +84,7 @@ TEST(GraphBuilderTest, MerchantAdjSortedByUser) {
   b.AddEdge(1, 0);
   b.AddEdge(3, 0);
   auto g = b.Build().ValueOrDie();
-  auto edges = g.merchant_edges(0);
+  auto edges = g.merchant_edge_ids(0);
   ASSERT_EQ(edges.size(), 3u);
   EXPECT_EQ(g.edge(edges[0]).user, 1u);
   EXPECT_EQ(g.edge(edges[1]).user, 3u);
@@ -111,15 +112,29 @@ TEST(GraphBuilderTest, DuplicateSumWeights) {
   EXPECT_DOUBLE_EQ(g.edge_weight(0), 3.5);
 }
 
+// Sum of edge weights over a user's / merchant's row.
+double UserRowWeight(const CsrGraph& g, UserId u) {
+  double sum = 0.0;
+  for (int64_t k = 0; k < g.user_degree(u); ++k) {
+    sum += g.edge_weight(g.user_edge_begin(u) + k);
+  }
+  return sum;
+}
+double MerchantRowWeight(const CsrGraph& g, MerchantId v) {
+  double sum = 0.0;
+  for (EdgeId e : g.merchant_edge_ids(v)) sum += g.edge_weight(e);
+  return sum;
+}
+
 TEST(GraphBuilderTest, WeightedDegrees) {
   GraphBuilder b(2, 2);
   b.AddEdge(0, 0, 2.0);
   b.AddEdge(0, 1, 3.0);
   b.AddEdge(1, 1, 4.0);
   auto g = b.Build(DuplicatePolicy::kSumWeights).ValueOrDie();
-  EXPECT_DOUBLE_EQ(g.user_weighted_degree(0), 5.0);
-  EXPECT_DOUBLE_EQ(g.user_weighted_degree(1), 4.0);
-  EXPECT_DOUBLE_EQ(g.merchant_weighted_degree(1), 7.0);
+  EXPECT_DOUBLE_EQ(UserRowWeight(g, 0), 5.0);
+  EXPECT_DOUBLE_EQ(UserRowWeight(g, 1), 4.0);
+  EXPECT_DOUBLE_EQ(MerchantRowWeight(g, 1), 7.0);
   // Unweighted degree still counts edges.
   EXPECT_EQ(g.user_degree(0), 2);
 }
@@ -129,8 +144,8 @@ TEST(GraphBuilderTest, UnweightedWeightedDegreeEqualsDegree) {
   b.AddEdge(0, 0);
   b.AddEdge(0, 1);
   auto g = b.Build().ValueOrDie();
-  EXPECT_DOUBLE_EQ(g.user_weighted_degree(0), 2.0);
-  EXPECT_DOUBLE_EQ(g.merchant_weighted_degree(0), 1.0);
+  EXPECT_DOUBLE_EQ(UserRowWeight(g, 0), 2.0);
+  EXPECT_DOUBLE_EQ(MerchantRowWeight(g, 0), 1.0);
 }
 
 TEST(GraphBuilderTest, RejectsOutOfRangeUser) {
@@ -145,6 +160,19 @@ TEST(GraphBuilderTest, RejectsOutOfRangeMerchant) {
   GraphBuilder b(2, 2);
   b.AddEdge(0, 7);
   EXPECT_FALSE(b.Build().ok());
+}
+
+TEST(GraphBuilderTest, RejectsNodeCountsBeyond32BitIds) {
+  // Validated by Build() as a Status (never an abort), before any
+  // count-sized allocation.
+  for (auto [users, merchants] :
+       {std::pair<int64_t, int64_t>{-1, 2}, {2, -3},
+        {int64_t{UINT32_MAX} + 1, 1}, {1, int64_t{UINT32_MAX} + 2}}) {
+    GraphBuilder b(users, merchants);
+    auto g = b.Build();
+    ASSERT_FALSE(g.ok()) << users << " x " << merchants;
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(GraphBuilderTest, RejectsNonPositiveWeight) {
@@ -175,7 +203,8 @@ TEST(GraphBuilderTest, EdgeSpanMatchesCount) {
     for (MerchantId v = 0; v < 3; ++v) b.AddEdge(u, v);
   }
   auto g = b.Build().ValueOrDie();
-  EXPECT_EQ(static_cast<int64_t>(g.edges().size()), g.num_edges());
+  EXPECT_EQ(static_cast<int64_t>(g.user_neighbors_flat().size()),
+            g.num_edges());
   EXPECT_EQ(g.num_edges(), 9);
 }
 
@@ -190,14 +219,16 @@ TEST(GraphBuilderTest, CsrConsistency) {
   auto g = b.Build().ValueOrDie();
   std::vector<int> seen_user(static_cast<size_t>(g.num_edges()), 0);
   for (int64_t u = 0; u < g.num_users(); ++u) {
-    for (EdgeId e : g.user_edges(static_cast<UserId>(u))) {
-      EXPECT_EQ(g.edge(e).user, static_cast<UserId>(u));
+    const UserId user = static_cast<UserId>(u);
+    for (EdgeId e = g.user_edge_begin(user);
+         e < g.user_edge_begin(user) + g.user_degree(user); ++e) {
+      EXPECT_EQ(g.edge(e).user, user);
       ++seen_user[static_cast<size_t>(e)];
     }
   }
   std::vector<int> seen_merchant(static_cast<size_t>(g.num_edges()), 0);
   for (int64_t v = 0; v < g.num_merchants(); ++v) {
-    for (EdgeId e : g.merchant_edges(static_cast<MerchantId>(v))) {
+    for (EdgeId e : g.merchant_edge_ids(static_cast<MerchantId>(v))) {
       EXPECT_EQ(g.edge(e).merchant, static_cast<MerchantId>(v));
       ++seen_merchant[static_cast<size_t>(e)];
     }

@@ -130,6 +130,33 @@ TEST_F(GraphIoTest, EdgeExceedingDeclaredHeaderFails) {
   EXPECT_NE(g.status().message().find("exceed"), std::string::npos);
 }
 
+// Ids and declared counts beyond 32-bit ids are malformed input: an
+// IOError naming the line, never a process abort.
+TEST_F(GraphIoTest, IdBeyond32BitIdsFails) {
+  const std::string path = TempPath("huge_id.tsv");
+  WriteFile(path, "4294967295\t0\n");  // its count would be 2^32
+  auto g = LoadEdgeListTsv(path);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kIOError);
+  EXPECT_NE(g.status().message().find(":1:"), std::string::npos);
+}
+
+TEST_F(GraphIoTest, DeclaredCountBeyond32BitIdsFails) {
+  const std::string path = TempPath("huge_header.tsv");
+  WriteFile(path, "# bipartite 4294967297 2\n0\t0\n");
+  auto g = LoadEdgeListTsv(path);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kIOError);
+}
+
+TEST_F(GraphIoTest, NegativeDeclaredCountFails) {
+  const std::string path = TempPath("negative_header.tsv");
+  WriteFile(path, "# bipartite -3 2\n");
+  auto g = LoadEdgeListTsv(path);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kIOError);
+}
+
 TEST_F(GraphIoTest, MissingFileFails) {
   auto g = LoadEdgeListTsv(TempPath("does_not_exist.tsv"));
   ASSERT_FALSE(g.ok());

@@ -7,7 +7,7 @@
 namespace ensemfdet {
 namespace {
 
-BipartiteGraph StarGraph() {
+CsrGraph StarGraph() {
   // User 0 connected to merchants 0..4; users 1, 2 isolated.
   GraphBuilder b(3, 5);
   for (MerchantId v = 0; v < 5; ++v) b.AddEdge(0, v);

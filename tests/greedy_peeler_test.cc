@@ -13,7 +13,7 @@ namespace ensemfdet {
 namespace {
 
 // A dense 8×4 fraud block embedded in 60×30 sparse background.
-BipartiteGraph PlantedBlockGraph(uint64_t seed = 17) {
+CsrGraph PlantedBlockGraph(uint64_t seed = 17) {
   GraphBuilder b(60, 30);
   for (UserId u = 0; u < 8; ++u) {
     for (MerchantId v = 0; v < 4; ++v) b.AddEdge(u, v);

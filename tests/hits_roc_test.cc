@@ -11,7 +11,7 @@
 namespace ensemfdet {
 namespace {
 
-BipartiteGraph LockstepGraph() {
+CsrGraph LockstepGraph() {
   // Lockstep block users 0-7 × merchants 0-2 inside light noise.
   GraphBuilder b(60, 20);
   for (UserId u = 0; u < 8; ++u) {

@@ -102,8 +102,6 @@ TEST(DynamicGraphStoreTest, FingerprintMatchesMaterializedForms) {
   ASSERT_TRUE(
       store.Apply(Batch({{0, 1, 2}, {1, 4, 3}, {2, 1, 3}, {3, 0, 0}})).ok());
   GraphVersion version = store.Publish();
-  BipartiteGraph graph = version.Materialize();
-  EXPECT_EQ(version.ContentFingerprint(), FingerprintGraph(graph));
   EXPECT_EQ(version.ContentFingerprint(),
             FingerprintGraph(*version.MaterializeCsr()));
   // Same content assembled directly through GraphBuilder fingerprints
@@ -150,7 +148,7 @@ TEST(DynamicGraphStoreTest, CompactionPreservesContentAndEmptiesDelta) {
   ASSERT_TRUE(store.Apply(Batch({{200, 9, 9}})).ok());  // evicts everything
   GraphVersion v3 = store.Publish();
   EXPECT_EQ(v3.num_edges(), 1);
-  EXPECT_EQ(v3.ContentFingerprint(), FingerprintGraph(v3.Materialize()));
+  EXPECT_EQ(v3.ContentFingerprint(), FingerprintGraph(*v3.MaterializeCsr()));
 }
 
 TEST(DynamicGraphStoreTest, TouchedFrontierTracksStructuralChangesOnly) {
@@ -222,7 +220,7 @@ TEST(DynamicGraphStoreTest, RandomizedParityWithNaiveWindowRebuild) {
     for (const Transaction& tx : window_ref) {
       builder.AddEdge(tx.user, tx.merchant);
     }
-    BipartiteGraph expected =
+    CsrGraph expected =
         builder.Build(DuplicatePolicy::kKeepFirst).ValueOrDie();
     ASSERT_EQ(version.num_edges(), expected.num_edges()) << "round " << round;
     ASSERT_EQ(version.ContentFingerprint(), FingerprintGraph(expected))

@@ -14,7 +14,7 @@ namespace {
 
 // Two disconnected islands: a dense 8×3 block and a dense 5×3 block, plus
 // a scattering of 2-edge debris components.
-BipartiteGraph IslandsGraph() {
+CsrGraph IslandsGraph() {
   GraphBuilder b(60, 30);
   for (UserId u = 0; u < 8; ++u) {
     for (MerchantId v = 0; v < 3; ++v) b.AddEdge(u, v);

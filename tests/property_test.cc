@@ -29,8 +29,8 @@ namespace {
 
 // A reasonably dense random bipartite graph (min degree grows with size so
 // Theorem 1's c = Ω(ln n) precondition roughly holds).
-BipartiteGraph DenseRandomGraph(int64_t users, int64_t merchants,
-                                int64_t per_user, uint64_t seed) {
+CsrGraph DenseRandomGraph(int64_t users, int64_t merchants,
+                          int64_t per_user, uint64_t seed) {
   GraphBuilder b(users, merchants);
   Rng rng(seed);
   for (UserId u = 0; u < users; ++u) {
@@ -300,8 +300,8 @@ TEST_P(KCorePeelerPropertyTest, PeeledBlockLivesInHighCores) {
   int64_t min_internal = INT64_MAX;
   for (UserId u : block.users) {
     int64_t internal = 0;
-    for (EdgeId e : g.user_edges(u)) {
-      internal += merchants.count(g.edge(e).merchant) > 0;
+    for (MerchantId v : g.user_neighbors(u)) {
+      internal += merchants.count(v) > 0;
     }
     min_internal = std::min(min_internal, internal);
   }

@@ -13,7 +13,7 @@ namespace ensemfdet {
 namespace {
 
 // 40 users × 20 merchants random-ish graph with 200 distinct edges.
-BipartiteGraph MediumGraph(uint64_t seed = 5) {
+CsrGraph MediumGraph(uint64_t seed = 5) {
   Rng rng(seed);
   GraphBuilder b(40, 20);
   std::set<std::pair<UserId, MerchantId>> seen;
@@ -183,8 +183,10 @@ TEST(TwoSideNodeSamplerTest, BothSidesSampledCrossSectionOnly) {
   std::set<UserId> users(view.user_map.begin(), view.user_map.end());
   std::set<MerchantId> merchants(view.merchant_map.begin(),
                                  view.merchant_map.end());
-  for (const Edge& e : g.edges()) {
-    if (users.count(e.user) && merchants.count(e.merchant)) ++expected;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (users.count(g.edge_user(e)) && merchants.count(g.edge_merchant(e))) {
+      ++expected;
+    }
   }
   EXPECT_EQ(view.graph.num_edges(), expected);
 }

@@ -19,7 +19,7 @@ namespace ensemfdet {
 namespace {
 
 // A dense 10×4 planted block inside sparse background traffic.
-BipartiteGraph PlantedGraph(uint64_t seed = 3) {
+CsrGraph PlantedGraph(uint64_t seed = 3) {
   GraphBuilder b(120, 60);
   for (UserId u = 0; u < 10; ++u) {
     for (MerchantId v = 0; v < 4; ++v) b.AddEdge(u, v);
@@ -82,7 +82,7 @@ TEST(GraphRegistryTest, PublishGetRemove) {
   auto got = registry.Get("g");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->fingerprint, snap->fingerprint);
-  EXPECT_EQ(got->graph.get(), snap->graph.get());
+  EXPECT_EQ(got->csr.get(), snap->csr.get());
 
   EXPECT_EQ(registry.Get("missing").status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(registry.Remove("g").ok());
@@ -101,13 +101,13 @@ TEST(GraphRegistryTest, RepublishBumpsVersionAndIsolatesSnapshots) {
   auto v1 = registry.Publish("g", PlantedGraph(3)).ValueOrDie();
   // Holders of the old snapshot keep a valid, unchanged graph after a
   // re-publish (snapshot isolation).
-  std::shared_ptr<const BipartiteGraph> held = v1.graph;
+  std::shared_ptr<const CsrGraph> held = v1.csr;
   const int64_t held_edges = held->num_edges();
 
   auto v2 = registry.Publish("g", PlantedGraph(4)).ValueOrDie();
   EXPECT_EQ(v2.version, 2u);
   EXPECT_NE(v2.fingerprint, v1.fingerprint);
-  EXPECT_NE(v2.graph.get(), held.get());
+  EXPECT_NE(v2.csr.get(), held.get());
   EXPECT_EQ(held->num_edges(), held_edges);
   EXPECT_EQ(registry.Get("g").ValueOrDie().version, 2u);
 }
@@ -125,11 +125,11 @@ TEST(GraphRegistryTest, FingerprintSeesWeightsAndShape) {
   GraphBuilder b(2, 2);
   b.AddEdge(0, 0);
   b.AddEdge(1, 1);
-  BipartiteGraph unweighted = b.Build().ValueOrDie();
+  CsrGraph unweighted = b.Build().ValueOrDie();
 
   b.AddEdge(0, 0, 2.0);
   b.AddEdge(1, 1);
-  BipartiteGraph weighted = b.Build().ValueOrDie();
+  CsrGraph weighted = b.Build().ValueOrDie();
   EXPECT_NE(FingerprintGraph(unweighted), FingerprintGraph(weighted));
 
   // Isolated nodes change the shape even with identical edges.
@@ -153,7 +153,7 @@ TEST(GraphRegistryTest, ConcurrentPublishAndGet) {
   // Readers must always see a complete snapshot.
   while (!stop.load()) {
     auto snap = registry.Get("g").ValueOrDie();
-    EXPECT_EQ(snap.fingerprint, FingerprintGraph(*snap.graph));
+    EXPECT_EQ(snap.fingerprint, FingerprintGraph(*snap.csr));
   }
   writer.join();
   EXPECT_EQ(registry.Get("g").ValueOrDie().version, 21u);
@@ -340,7 +340,7 @@ TEST(DetectionServiceTest, UseCacheFalseBypassesCache) {
 TEST(DetectionServiceTest, ConcurrentSubmitDeterminism) {
   // The same (graph, config) submitted from many client threads onto pools
   // of different widths must yield bit-identical vote tables.
-  const BipartiteGraph graph = PlantedGraph();
+  const CsrGraph graph = PlantedGraph();
   const EnsemFDetConfig config = SmallConfig(77);
 
   std::vector<std::vector<int32_t>> vote_tables;
@@ -472,7 +472,7 @@ TEST(DetectionServiceTest, BaselineJobsProduceScores) {
   GraphRegistry registry;
   ThreadPool pool(2);
   DetectionService service(&registry, &pool);
-  const BipartiteGraph graph = PlantedGraph();
+  const CsrGraph graph = PlantedGraph();
   registry.Publish("g", graph).ValueOrDie();
 
   for (DetectorKind kind : {DetectorKind::kFraudar, DetectorKind::kHits,
@@ -601,11 +601,11 @@ StreamSessionConfig SmallStreamSession(uint64_t seed = 17) {
 // A timestamped stream over the planted graph: one event per edge, dense
 // block first (a burst), then background.
 std::vector<Transaction> PlantedStream() {
-  BipartiteGraph graph = PlantedGraph();
+  CsrGraph graph = PlantedGraph();
   std::vector<Transaction> events;
   int64_t t = 0;
-  for (const Edge& e : graph.edges()) {
-    events.push_back({t++, e.user, e.merchant});
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    events.push_back({t++, graph.edge_user(e), graph.edge_merchant(e)});
   }
   return events;
 }
@@ -724,7 +724,7 @@ TEST(StreamSessionTest, RegisteredVersionIsRepresentationIndependent) {
   EXPECT_FALSE(first->cache_hit);
 
   // …shares cache entries with the same content published from a plain
-  // BipartiteGraph (the window held every event, so the live graph is
+  // CsrGraph (the window held every event, so the live graph is
   // exactly PlantedGraph).
   GraphSnapshot republished =
       registry.Publish("copy", PlantedGraph()).ValueOrDie();

@@ -3,12 +3,11 @@
 // every available ISA level, over empty, single-lane, and
 // non-multiple-of-width sizes. gather_slot_mass / next_alive /
 // count_alive must match the referee BIT-exactly (they are deployed on
-// the peeling hot path under the ensemble's bit-parity gates);
-// masked_sum is reassociating, so it is checked to tolerance here and
-// to vote-identity at the detection level (EndToEndDetectionParity).
+// the peeling hot path under the ensemble's bit-parity gates); detection
+// outputs are additionally pinned to vote-identity across levels
+// (EndToEndDetectionParity).
 #include "detect/simd/kernels.h"
 
-#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -147,25 +146,6 @@ TEST(SimdKernelTest, CountAliveMatchesScalarReferee) {
   }
 }
 
-TEST(SimdKernelTest, MaskedSumCloseToScalarReferee) {
-  // masked_sum reassociates (vector accumulator lanes), so the check is
-  // a tight relative tolerance, not bit-equality — the bit-level
-  // guarantee for detection outputs is vote-identity, pinned end to end
-  // below and by the ensemble bench's parity gate.
-  const KernelTable& referee = ScalarKernels();
-  for (IsaLevel level : AvailableLevels()) {
-    const KernelTable& kern = KernelsFor(level);
-    for (int64_t n : kSizes) {
-      const RandomView v = MakeView(n, static_cast<uint64_t>(n) + 5, 0.6);
-      const double got = kern.masked_sum(v.weight.data(), v.alive.data(), n);
-      const double want =
-          referee.masked_sum(v.weight.data(), v.alive.data(), n);
-      EXPECT_NEAR(got, want, 1e-9 * (1.0 + std::fabs(want)))
-          << IsaLevelName(level) << " n=" << n;
-    }
-  }
-}
-
 TEST(SimdIsaTest, ScopedLevelForcesDownAndRestores) {
   const IsaLevel before = ActiveIsaLevel();
   {
@@ -222,7 +202,7 @@ TEST(SimdParityTest, EndToEndDetectionIdenticalAcrossIsaLevels) {
               static_cast<MerchantId>(rng() % 50),
               0.5 + static_cast<double>(rng() % 1000) / 1000.0);
   }
-  const BipartiteGraph graph = b.Build().ValueOrDie();
+  const CsrGraph graph = b.Build().ValueOrDie();
 
   EnsemFDetConfig cfg;
   cfg.num_samples = 5;

@@ -32,8 +32,8 @@ std::string TempPath(const std::string& name) {
       .string();
 }
 
-BipartiteGraph RandomGraph(int64_t users, int64_t merchants, int64_t edges,
-                           uint64_t seed, bool weighted) {
+CsrGraph RandomGraph(int64_t users, int64_t merchants, int64_t edges,
+                     uint64_t seed, bool weighted) {
   GraphBuilder b(users, merchants);
   Rng rng(seed);
   for (int64_t i = 0; i < edges; ++i) {
@@ -94,8 +94,7 @@ uint64_t SectionOffset(const std::vector<char>& bytes,
 
 TEST(SnapshotRoundTrip, BothReadersReproduceTheGraph) {
   for (bool weighted : {false, true}) {
-    const BipartiteGraph graph = RandomGraph(60, 40, 300, 7, weighted);
-    const CsrGraph csr = CsrGraph::FromBipartite(graph);
+    const CsrGraph csr = RandomGraph(60, 40, 300, 7, weighted);
     const std::string path = TempPath("roundtrip.efg");
     ASSERT_TRUE(storage::WriteCsrGraphSnapshot(csr, path).ok());
 
@@ -110,17 +109,13 @@ TEST(SnapshotRoundTrip, BothReadersReproduceTheGraph) {
     EXPECT_TRUE(mapped->VerifyFingerprint().ok());
     EXPECT_EQ(mapped->fingerprint(), FingerprintGraph(csr));
     ExpectCsrEqual(csr, mapped->graph());
-
-    // The adjacency round-trip off the mapping must be exact too.
-    const BipartiteGraph back = mapped->graph().ToBipartite();
-    EXPECT_EQ(FingerprintGraph(back), FingerprintGraph(graph));
+    EXPECT_EQ(FingerprintGraph(mapped->graph()), FingerprintGraph(csr));
     std::filesystem::remove(path);
   }
 }
 
 TEST(SnapshotRoundTrip, HeaderProbeReportsShape) {
-  const CsrGraph csr =
-      CsrGraph::FromBipartite(RandomGraph(9, 5, 20, 3, false));
+  const CsrGraph csr = RandomGraph(9, 5, 20, 3, false);
   const std::string path = TempPath("probe.efg");
   ASSERT_TRUE(storage::WriteCsrGraphSnapshot(csr, path).ok());
   auto info = storage::ReadSnapshotInfo(path);
@@ -136,9 +131,7 @@ TEST(SnapshotRoundTrip, HeaderProbeReportsShape) {
 TEST(SnapshotRoundTrip, ZeroEdgeAndZeroNodeGraphs) {
   // Isolated nodes, no edges.
   {
-    const BipartiteGraph graph =
-        GraphBuilder(17, 13).Build().ValueOrDie();
-    const CsrGraph csr = CsrGraph::FromBipartite(graph);
+    const CsrGraph csr = GraphBuilder(17, 13).Build().ValueOrDie();
     const std::string path = TempPath("zero_edges.efg");
     ASSERT_TRUE(storage::WriteCsrGraphSnapshot(csr, path).ok());
     auto mapped = storage::MappedCsrGraph::Open(path);
@@ -168,8 +161,7 @@ TEST(SnapshotRoundTrip, ZeroEdgeAndZeroNodeGraphs) {
 }
 
 TEST(SnapshotRoundTrip, ViewOutlivesTheMappedReader) {
-  const CsrGraph csr =
-      CsrGraph::FromBipartite(RandomGraph(30, 20, 120, 11, true));
+  const CsrGraph csr = RandomGraph(30, 20, 120, 11, true);
   const std::string path = TempPath("lifetime.efg");
   ASSERT_TRUE(storage::WriteCsrGraphSnapshot(csr, path).ok());
   std::shared_ptr<const CsrGraph> held;
@@ -195,8 +187,7 @@ TEST(SnapshotRoundTrip, ViewOutlivesTheMappedReader) {
 class SnapshotCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    graph_ = RandomGraph(40, 25, 180, 5, true);
-    csr_ = CsrGraph::FromBipartite(graph_);
+    csr_ = RandomGraph(40, 25, 180, 5, true);
     path_ = TempPath("corrupt.efg");
     ASSERT_TRUE(storage::WriteCsrGraphSnapshot(csr_, path_).ok());
     bytes_ = ReadAll(path_);
@@ -220,7 +211,6 @@ class SnapshotCorruption : public ::testing::Test {
     }
   }
 
-  BipartiteGraph graph_;
   CsrGraph csr_;
   std::string path_;
   std::vector<char> bytes_;
@@ -362,7 +352,7 @@ TEST_F(SnapshotCorruption, NonFiniteWeightRejected) {
 TEST(SnapshotDetectionParity, MmapLoadedDetectionIsBitExact) {
   auto dataset = GenerateJdPreset(JdPreset::kDataset1, 0.004, 7);
   ASSERT_TRUE(dataset.ok());
-  const CsrGraph csr = CsrGraph::FromBipartite(dataset->graph);
+  const CsrGraph& csr = dataset->graph;
   const std::string path = TempPath("parity.efg");
   ASSERT_TRUE(storage::WriteCsrGraphSnapshot(csr, path).ok());
   auto mapped = storage::MappedCsrGraph::Open(path);

@@ -10,7 +10,7 @@ namespace ensemfdet {
 namespace {
 
 // 4 users × 4 merchants with a 2×2 dense corner plus some stragglers.
-BipartiteGraph TestGraph() {
+CsrGraph TestGraph() {
   GraphBuilder b(4, 4);
   b.AddEdge(0, 0);
   b.AddEdge(0, 1);

@@ -1,8 +1,8 @@
-// ParallelForWorkStealing: the scheduler contract (every index exactly
-// once, caller participation, exception propagation, skew rebalancing)
-// plus the determinism guarantee the ensemble relies on — identical
-// votes at pool widths 1/2/4/8 on a skewed component-size distribution,
-// where stealing actually fires.
+// ThreadPool::ParallelFor's work stealing: the scheduler contract (every
+// index exactly once, caller participation, exception propagation, skew
+// rebalancing) plus the determinism guarantee the ensemble relies on —
+// identical votes at pool widths 1/2/4/8 on a skewed component-size
+// distribution, where stealing actually fires.
 #include "common/thread_pool.h"
 
 #include <atomic>
@@ -26,7 +26,7 @@ TEST(WorkStealingTest, CoversEveryIndexExactlyOnce) {
   for (int64_t n : {0, 1, 2, 3, 7, 64, 1000}) {
     std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
     for (auto& h : hits) h.store(0);
-    pool.ParallelForWorkStealing(0, n, [&](int64_t i) {
+    pool.ParallelFor(0, n, [&](int64_t i) {
       hits[static_cast<size_t>(i)].fetch_add(1);
     });
     for (int64_t i = 0; i < n; ++i) {
@@ -40,7 +40,7 @@ TEST(WorkStealingTest, NonZeroBeginCoversTheRange) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(100);
   for (auto& h : hits) h.store(0);
-  pool.ParallelForWorkStealing(40, 100, [&](int64_t i) {
+  pool.ParallelFor(40, 100, [&](int64_t i) {
     hits[static_cast<size_t>(i)].fetch_add(1);
   });
   for (int64_t i = 0; i < 100; ++i) {
@@ -51,7 +51,7 @@ TEST(WorkStealingTest, NonZeroBeginCoversTheRange) {
 TEST(WorkStealingTest, EmptyRangeIsANoOp) {
   ThreadPool pool(2);
   bool ran = false;
-  pool.ParallelForWorkStealing(5, 5, [&](int64_t) { ran = true; });
+  pool.ParallelFor(5, 5, [&](int64_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
@@ -63,7 +63,7 @@ TEST(WorkStealingTest, SkewedItemCostsStillCoverEverything) {
   const int64_t n = 64;
   std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
   for (auto& h : hits) h.store(0);
-  pool.ParallelForWorkStealing(0, n, [&](int64_t i) {
+  pool.ParallelFor(0, n, [&](int64_t i) {
     std::this_thread::sleep_for(std::chrono::microseconds(i == 0 ? 5000 : 100));
     hits[static_cast<size_t>(i)].fetch_add(1);
   });
@@ -76,7 +76,7 @@ TEST(WorkStealingTest, ExceptionFromAnItemPropagatesToCaller) {
   ThreadPool pool(4);
   std::atomic<int> completed{0};
   EXPECT_THROW(
-      pool.ParallelForWorkStealing(0, 32,
+      pool.ParallelFor(0, 32,
                                    [&](int64_t i) {
                                      if (i == 13) {
                                        throw std::runtime_error("boom");
@@ -84,7 +84,7 @@ TEST(WorkStealingTest, ExceptionFromAnItemPropagatesToCaller) {
                                      completed.fetch_add(1);
                                    }),
       std::runtime_error);
-  // Remaining items still ran (same contract as ParallelFor).
+  // Remaining items still ran (the documented contract).
   EXPECT_EQ(completed.load(), 31);
 }
 
@@ -93,8 +93,8 @@ TEST(WorkStealingTest, NestedCallFromAWorkerDoesNotDeadlock) {
   // from inside a pool task must complete even with every worker busy.
   ThreadPool pool(2);
   std::atomic<int> total{0};
-  pool.ParallelForWorkStealing(0, 4, [&](int64_t) {
-    pool.ParallelForWorkStealing(0, 8, [&](int64_t) { total.fetch_add(1); });
+  pool.ParallelFor(0, 4, [&](int64_t) {
+    pool.ParallelFor(0, 8, [&](int64_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 32);
 }
@@ -102,7 +102,7 @@ TEST(WorkStealingTest, NestedCallFromAWorkerDoesNotDeadlock) {
 // A graph whose components differ in size by ~two orders of magnitude:
 // one giant dense-ish component plus many tiny ones. Member / component
 // work under this shape is exactly what stealing exists for.
-BipartiteGraph SkewedGraph() {
+CsrGraph SkewedGraph() {
   GraphBuilder b(400, 160);
   // Giant component: users [0,80) x merchants [0,30), sparse random.
   std::mt19937_64 rng(77);
@@ -128,7 +128,7 @@ BipartiteGraph SkewedGraph() {
 }
 
 TEST(WorkStealingTest, VoteIdentityAcrossPoolWidthsOnSkewedComponents) {
-  const BipartiteGraph graph = SkewedGraph();
+  const CsrGraph graph = SkewedGraph();
   EnsemFDetConfig cfg;
   cfg.num_samples = 8;
   cfg.ratio = 0.35;

@@ -422,7 +422,7 @@ int LoadAndPublishGraph(Flags& flags, GraphRegistry& registry,
       // Binary snapshot: mmap'd, fingerprint-verified, served zero-copy.
       return registry.LoadSnapshot("cli", path);
     }
-    ENSEMFDET_ASSIGN_OR_RETURN(BipartiteGraph graph, LoadEdgeListTsv(path));
+    ENSEMFDET_ASSIGN_OR_RETURN(CsrGraph graph, LoadEdgeListTsv(path));
     return registry.Publish("cli", std::move(graph));
   }();
   if (!published.ok()) return FailWith(published.status());
@@ -430,9 +430,9 @@ int LoadAndPublishGraph(Flags& flags, GraphRegistry& registry,
                "[load] %s (%s): %lld users x %lld merchants, %lld edges "
                "(fingerprint %016llx)\n",
                path.c_str(), IsSnapshotPath(path) ? "mmap snapshot" : "tsv",
-               (long long)published->graph->num_users(),
-               (long long)published->graph->num_merchants(),
-               (long long)published->graph->num_edges(),
+               (long long)published->csr->num_users(),
+               (long long)published->csr->num_merchants(),
+               (long long)published->csr->num_edges(),
                (unsigned long long)published->fingerprint);
   *snapshot = std::move(published).value();
   return 0;
@@ -575,7 +575,7 @@ int CmdSaveGraph(Flags& flags) {
   std::fprintf(stderr,
                "[save-graph] %s: %lld edges, fingerprint %016llx "
                "(mmap round-trip verified)\n",
-               out.c_str(), (long long)snapshot.graph->num_edges(),
+               out.c_str(), (long long)snapshot.csr->num_edges(),
                (unsigned long long)snapshot.fingerprint);
   return FinishObservability(metrics_out, trace_out);
 }
@@ -606,7 +606,7 @@ int CmdEvaluate(Flags& flags) {
   GraphSnapshot snapshot;
   int rc = LoadAndPublishGraph(flags, registry, &snapshot);
   if (rc != 0) return rc;
-  auto labels = LoadLabels(labels_path, snapshot.graph->num_users());
+  auto labels = LoadLabels(labels_path, snapshot.csr->num_users());
   if (!labels.ok()) return FailWith(labels.status());
 
   // Evaluation needs a vote table, so only the ensemble detector makes
@@ -749,8 +749,9 @@ int CmdBenchSmoke(Flags& flags) {
   spec.config.detection_interval = 300;
   spec.config.ensemble = request.ensemble;
   int64_t ts = 0;
-  for (const Edge& e : dataset->graph.edges()) {
-    spec.transactions.push_back({ts, e.user, e.merchant});
+  for (EdgeId e = 0; e < dataset->graph.num_edges(); ++e) {
+    spec.transactions.push_back(
+        {ts, dataset->graph.edge_user(e), dataset->graph.edge_merchant(e)});
     if (spec.transactions.size() >= 2000) break;
     ts += 1;
   }
@@ -1020,7 +1021,7 @@ int CmdStreamReplay(Flags& flags) {
                    register_name.c_str(),
                    (unsigned long long)snapshot->version,
                    (unsigned long long)snapshot->fingerprint,
-                   (long long)snapshot->graph->num_edges());
+                   (long long)snapshot->csr->num_edges());
     }
   }
   PrintCacheStats(service);
