@@ -1,7 +1,6 @@
 #include "detect/csr_peeler.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.h"
 #include "detect/simd/kernels.h"
@@ -150,24 +149,18 @@ int64_t PeelScratch::Prepare(const CsrGraph& graph) {
   const int64_t users = graph.num_users();
   const int64_t merchants = graph.num_merchants();
   const int64_t nodes = graph.num_nodes();
-  const int64_t edges = graph.num_edges();
   int64_t grew = 0;
   GrowTo(&user_degree, users, &grew);
   GrowTo(&merchant_degree, merchants, &grew);
   GrowTo(&col_weight, merchants, &grew);
-  GrowTo(&edge_mass, edges, &grew);
   GrowTo(&priority, nodes, &grew);
-  GrowTo(&edge_alive, edges, &grew);
   GrowTo(&removed, nodes, &grew);
   GrowTo(&gone, nodes, &grew);
   if (heap.EnsureCapacity(nodes)) ++grew;
-  GrowTo(&dense_of, nodes, &grew);
-  ReserveTo(&dense_to_node, nodes, &grew);
+  GrowTo(&dense_of, merchants, &grew);
   ReserveTo(&incident_users, users, &grew);
   ReserveTo(&incident_merchants, merchants, &grew);
   ReserveTo(&removal_order, nodes, &grew);
-  ReserveTo(&fdet_remaining, edges, &grew);
-  ReserveTo(&fdet_next, edges, &grew);
   GrowTo(&in_block_user, users, &grew);
   GrowTo(&in_block_merchant, merchants, &grew);
   grow_events += grew;
@@ -175,9 +168,14 @@ int64_t PeelScratch::Prepare(const CsrGraph& graph) {
 }
 
 int64_t PeelScratch::PrepareView(int64_t mask_size) {
-  // Residual-view buffers are sized by the member's mask, not the parent
-  // graph (a sampled mask is ~S·|E|), and only paid for by callers that
-  // actually set a view — a plain full-graph FDET never touches them.
+  // Per-slot buffers are sized by the residual (a sampled mask is
+  // ~S·|E|); per-member-node rows by the most nodes a residual of that
+  // size can touch — never more than its edges, nor than the prepared
+  // graph has.
+  const int64_t max_users =
+      std::min(mask_size, static_cast<int64_t>(user_degree.size()));
+  const int64_t max_merchants =
+      std::min(mask_size, static_cast<int64_t>(merchant_degree.size()));
   int64_t grew = 0;
   ReserveTo(&view_mask, mask_size, &grew);
   GrowTo(&view_weight_of, mask_size, &grew);
@@ -189,20 +187,14 @@ int64_t PeelScratch::PrepareView(int64_t mask_size) {
   GrowTo(&view_user_mass, mask_size, &grew);
   GrowTo(&view_merchant_mass, mask_size, &grew);
   GrowTo(&view_merchant_user_dense, mask_size, &grew);
-  ReserveTo(&member_users, mask_size, &grew);
-  ReserveTo(&member_merchants, mask_size, &grew);
-  GrowTo(&member_user_begin, mask_size, &grew);
-  GrowTo(&member_user_end, mask_size, &grew);
-  GrowTo(&member_merchant_begin, mask_size, &grew);
-  GrowTo(&member_merchant_end, mask_size, &grew);
+  ReserveTo(&member_users, max_users, &grew);
+  ReserveTo(&member_merchants, max_merchants, &grew);
+  GrowTo(&member_user_begin, max_users, &grew);
+  GrowTo(&member_user_end, max_users, &grew);
+  GrowTo(&member_merchant_begin, max_merchants, &grew);
+  GrowTo(&member_merchant_end, max_merchants, &grew);
   grow_events += grew;
   return grew;
-}
-
-CsrPeeler::CsrPeeler(const CsrGraph& graph)
-    : graph_(&graph), owned_(std::make_unique<PeelScratch>()) {
-  s_ = owned_.get();
-  s_->Prepare(graph);
 }
 
 CsrPeeler::CsrPeeler(const CsrGraph& graph, PeelScratch* scratch)
@@ -296,8 +288,8 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
   // Streaming initialization over the slot-aligned view, entirely in
   // member-dense id space: the alive slots of the ascending mask ARE the
   // residual list in ascending order, so every first-touch and
-  // accumulation below happens in exactly the order the list-driven Peel
-  // (and the seed peeler) performs it, and the member numbering is
+  // accumulation below happens in exactly the order the seed peeler
+  // performs it on the compacted subgraph, and the member numbering is
   // monotone in parent id, so all id-based tie-breaks agree too. The
   // alive-bitmap scan is the dispatched kernel (integer — exact at every
   // ISA level); the per-slot work stays scalar and in slot order.
@@ -463,214 +455,6 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
   }
   ENSEMFDET_DCHECK(s.heap.empty());
   return result;
-}
-
-PeelResult CsrPeeler::Peel(std::span<const EdgeId> residual_edges,
-                           const DensityConfig& config, PeelNodeScope scope,
-                           double weight_scale, bool keep_trace) {
-  PeelResult result;
-  const CsrGraph& graph = *graph_;
-  PeelScratch& s = *s_;
-  const int64_t num_users = graph.num_users();
-  const int64_t num_merchants = graph.num_merchants();
-  const int64_t total_nodes = num_users + num_merchants;
-  if (total_nodes == 0 || residual_edges.empty()) return result;
-
-  s.incident_users.clear();
-  s.incident_merchants.clear();
-
-  if (scope == PeelNodeScope::kIncidentOnly) {
-    // Sparse initialization: O(|residual|) instead of O(|U| + |V|). The
-    // degree arrays are all-zero between calls (restored on exit), so a
-    // first touch identifies each incident node exactly once; users come
-    // out ascending for free because edge_user is nondecreasing over the
-    // canonical (ascending) edge order.
-    for (EdgeId e : residual_edges) {
-      ENSEMFDET_DCHECK(e >= 0 && e < graph.num_edges());
-      s.edge_alive[static_cast<size_t>(e)] = 1;
-      const UserId u = graph.edge_user(e);
-      const MerchantId v = graph.edge_merchant(e);
-      if (s.user_degree[u]++ == 0) {
-        ENSEMFDET_DCHECK(s.incident_users.empty() ||
-                         s.incident_users.back() < u);
-        s.incident_users.push_back(u);
-        s.priority[u] = 0.0;
-      }
-      if (s.merchant_degree[v]++ == 0) {
-        s.incident_merchants.push_back(v);
-        s.priority[static_cast<size_t>(num_users) + v] = 0.0;
-      }
-    }
-    std::sort(s.incident_merchants.begin(), s.incident_merchants.end());
-    // Merchant column weights from residual degrees — exactly the
-    // entry-time degrees PeelDensestBlock sees on the compacted subgraph.
-    for (MerchantId v : s.incident_merchants) {
-      s.col_weight[v] =
-          MerchantColumnWeight(static_cast<double>(s.merchant_degree[v]),
-                               config);
-    }
-  } else {
-    // kAllNodes: every node participates, isolated ones included; the
-    // incident lists therefore enumerate the whole graph.
-    std::fill(s.user_degree.begin(),
-              s.user_degree.begin() + static_cast<size_t>(num_users), 0);
-    std::fill(s.merchant_degree.begin(),
-              s.merchant_degree.begin() + static_cast<size_t>(num_merchants),
-              0);
-    for (EdgeId e : residual_edges) {
-      ENSEMFDET_DCHECK(e >= 0 && e < graph.num_edges());
-      s.edge_alive[static_cast<size_t>(e)] = 1;
-      ++s.user_degree[graph.edge_user(e)];
-      ++s.merchant_degree[graph.edge_merchant(e)];
-    }
-    for (int64_t v = 0; v < num_merchants; ++v) {
-      s.col_weight[static_cast<size_t>(v)] = MerchantColumnWeight(
-          static_cast<double>(s.merchant_degree[static_cast<size_t>(v)]),
-          config);
-    }
-    std::fill(s.priority.begin(),
-              s.priority.begin() + static_cast<size_t>(total_nodes), 0.0);
-    for (int64_t u = 0; u < num_users; ++u) {
-      s.incident_users.push_back(static_cast<UserId>(u));
-    }
-    for (int64_t v = 0; v < num_merchants; ++v) {
-      s.incident_merchants.push_back(static_cast<MerchantId>(v));
-    }
-  }
-
-  // Per-edge suspiciousness mass plus node priorities and total mass,
-  // accumulated in ascending-EdgeId order (== the compacted subgraph's
-  // edge-id order) so every floating-point sum matches the seed peeler
-  // bit for bit. `weight * scale` with scale == 1.0 is exact, so
-  // the unscaled path is unchanged bitwise.
-  double mass = 0.0;
-  for (EdgeId e : residual_edges) {
-    const double w = (graph.edge_weight(e) * weight_scale) *
-                     s.col_weight[graph.edge_merchant(e)];
-    s.edge_mass[static_cast<size_t>(e)] = w;
-    s.priority[graph.edge_user(e)] += w;
-    s.priority[static_cast<size_t>(num_users) + graph.edge_merchant(e)] += w;
-    mass += w;
-  }
-
-  // Heap over parent packed node ids via per-peel dense slots: slots are
-  // handed out in ascending packed order (users then merchants), so
-  // (key, slot) ties break exactly like (key, node) — the seed tie-break
-  // — while the sift chain works in residual-sized arrays.
-  ENSEMFDET_DCHECK(s.heap.empty());
-  s.dense_to_node.clear();
-  for (UserId u : s.incident_users) {
-    const int64_t dense = static_cast<int64_t>(s.dense_to_node.size());
-    s.dense_of[u] = static_cast<int32_t>(dense);
-    s.dense_to_node.push_back(u);
-    s.heap.Append(dense, s.priority[u]);
-    s.removed[u] = 0;
-  }
-  for (MerchantId v : s.incident_merchants) {
-    const int64_t id = num_users + v;
-    const int64_t dense = static_cast<int64_t>(s.dense_to_node.size());
-    s.dense_of[static_cast<size_t>(id)] = static_cast<int32_t>(dense);
-    s.dense_to_node.push_back(id);
-    s.heap.Append(dense, s.priority[static_cast<size_t>(id)]);
-    s.removed[static_cast<size_t>(id)] = 0;
-  }
-  s.heap.Heapify();
-  int64_t alive = s.heap.size();
-  const int64_t peel_steps = alive;
-
-  s.removal_order.clear();
-  if (keep_trace) result.trace.reserve(static_cast<size_t>(peel_steps));
-
-  double best_phi = -1.0;
-  int64_t best_prefix = 0;  // number of removals before the best state
-
-  for (int64_t t = 0; t < peel_steps; ++t) {
-    const double phi =
-        alive > 0 ? std::max(0.0, mass) / static_cast<double>(alive) : 0.0;
-    if (keep_trace) result.trace.push_back(phi);
-    if (phi > best_phi) {
-      best_phi = phi;
-      best_prefix = t;
-    }
-
-    // Mass exhaustion (see PeelAliveInView): best_prefix can never move
-    // once mass ≤ 0 — skip the zero-key tail unless tracing.
-    if (!keep_trace && mass <= 0.0) break;
-
-    const int64_t victim =
-        s.dense_to_node[static_cast<size_t>(s.heap.PopMin())];
-    s.removed[static_cast<size_t>(victim)] = 1;
-    --alive;
-    s.removal_order.push_back(victim);
-
-    if (victim < num_users) {
-      const UserId u = static_cast<UserId>(victim);
-      const EdgeId row_begin = graph.user_edge_begin(u);
-      const auto neighbors = graph.user_neighbors(u);
-      for (size_t k = 0; k < neighbors.size(); ++k) {
-        const EdgeId e = row_begin + static_cast<EdgeId>(k);
-        if (!s.edge_alive[static_cast<size_t>(e)]) continue;
-        const int64_t other = num_users + neighbors[k];
-        if (s.removed[static_cast<size_t>(other)]) continue;  // edge dead
-        const double w = s.edge_mass[static_cast<size_t>(e)];
-        mass -= w;
-        s.heap.AddTo(s.dense_of[static_cast<size_t>(other)], -w);
-      }
-    } else {
-      const MerchantId v = static_cast<MerchantId>(victim - num_users);
-      const auto edge_ids = graph.merchant_edge_ids(v);
-      const auto neighbors = graph.merchant_neighbors(v);
-      for (size_t k = 0; k < neighbors.size(); ++k) {
-        const EdgeId e = edge_ids[k];
-        if (!s.edge_alive[static_cast<size_t>(e)]) continue;
-        const UserId u = neighbors[k];
-        if (s.removed[u]) continue;
-        const double w = s.edge_mass[static_cast<size_t>(e)];
-        mass -= w;
-        s.heap.AddTo(s.dense_of[u], -w);
-      }
-    }
-  }
-
-  if (!s.heap.empty()) s.heap.Clear();  // mass-exhausted early exit
-
-  // The best block is every participating node not removed in the first
-  // `best_prefix` deletions. `gone` is all-zero between calls; stamp the
-  // prefix, extract (incident lists are ascending), then clear the same
-  // prefix.
-  for (int64_t t = 0; t < best_prefix; ++t) {
-    s.gone[static_cast<size_t>(s.removal_order[static_cast<size_t>(t)])] = 1;
-  }
-  for (UserId u : s.incident_users) {
-    if (!s.gone[u]) result.users.push_back(u);
-  }
-  for (MerchantId v : s.incident_merchants) {
-    if (!s.gone[static_cast<size_t>(num_users) + v]) {
-      result.merchants.push_back(v);
-    }
-  }
-  result.score = best_phi;
-  if (keep_trace) result.removal_order = s.removal_order;
-
-  // Restore the arena invariants: alive mask and residual degrees zero,
-  // gone prefix cleared, heap empty — ready for reuse.
-  for (EdgeId e : residual_edges) s.edge_alive[static_cast<size_t>(e)] = 0;
-  for (UserId u : s.incident_users) s.user_degree[u] = 0;
-  for (MerchantId v : s.incident_merchants) s.merchant_degree[v] = 0;
-  for (int64_t t = 0; t < best_prefix; ++t) {
-    s.gone[static_cast<size_t>(s.removal_order[static_cast<size_t>(t)])] = 0;
-  }
-  ENSEMFDET_DCHECK(s.heap.empty());
-  return result;
-}
-
-PeelResult PeelDensestBlockCsr(const CsrGraph& graph,
-                               const DensityConfig& config, bool keep_trace) {
-  CsrPeeler peeler(graph);
-  std::vector<EdgeId> all(static_cast<size_t>(graph.num_edges()));
-  std::iota(all.begin(), all.end(), EdgeId{0});
-  return peeler.Peel(all, config, PeelNodeScope::kAllNodes,
-                     /*weight_scale=*/1.0, keep_trace);
 }
 
 }  // namespace ensemfdet

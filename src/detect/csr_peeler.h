@@ -7,34 +7,36 @@
 // rebuild a subgraph (sort + two hash maps + two CSR constructions) just
 // to peel it once; CsrPeeler reuses one set of flat scratch arrays
 // (degrees, priorities, removal flags, an indexed min-heap) across
-// iterations and walks the shared neighbor arrays directly.
+// iterations.
 //
 // The scratch arrays live in a PeelScratch arena that callers may own
 // externally: the ensemble hot loop keeps one arena per worker thread so
 // running FDET on thousands of sampled residuals performs zero arena
-// allocations after warm-up (DESIGN.md §"Ensemble hot loop"). For a
-// sampled member, SetResidualView() regroups the member's edge mask into
-// compact slot-aligned rows (edge ids, endpoints, weights — one pass of
-// parent gathers per member), after which PeelAliveInView() runs every
-// FDET iteration touching only residual-sized, mostly L1-resident arrays:
-// per-call initialization is O(|mask|) streaming — not O(|U| + |V|) and
-// not O(parent-degree sums) — so peeling a sampled residual of a huge
-// shared parent costs what peeling the equivalent materialized child
-// would, without building it.
+// allocations after warm-up (DESIGN.md §"Ensemble hot loop"). The
+// residual — a sampled member's edge mask, or every edge of the graph for
+// a plain RunFdet — is cached once by SetResidualView() as compact
+// slot-aligned rows (edge ids, endpoints, weights — one pass of parent
+// gathers), after which PeelAliveInView() runs every FDET iteration
+// touching only residual-sized arrays: per-call initialization is
+// O(|residual|) streaming — not O(|U| + |V|) and not O(parent-degree
+// sums) — so peeling a sampled residual of a huge shared parent costs
+// what peeling the equivalent materialized child would, without building
+// it.
 //
-// Bit-exactness contract: for the same residual edge set, Peel() and
-// PeelAliveInView() perform the identical floating-point operations in
-// the identical order as the seed PeelDensestBlock over the compacted
-// subgraph (same per-node accumulation order, same heap insertion order,
-// same smaller-id tie-breaks under the order-isomorphic id relabeling),
-// so scores, block node sets, traces, and removal orders match the seed
-// peeler exactly. tests/csr_parity_test.cc and
-// tests/ensemble_parity_test.cc pin this.
+// Bit-exactness contract (the one place it is stated): PeelAliveInView
+// over a residual edge set performs the identical floating-point
+// operations in the identical order as the seed PeelDensestBlock over the
+// compacted subgraph of that edge set (SubgraphFromEdges) — same per-node
+// accumulation order, same heap insertion order, same smaller-id
+// tie-breaks under the order-isomorphic id relabeling — so scores, block
+// node sets, traces, and removal orders match the seed peeler exactly.
+// tests/csr_parity_test.cc pins the peel; tests/csr_parity_test.cc and
+// tests/ensemble_parity_test.cc pin the FDET and ensemble loops built on
+// it.
 #ifndef ENSEMFDET_DETECT_CSR_PEELER_H_
 #define ENSEMFDET_DETECT_CSR_PEELER_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -125,69 +127,49 @@ class PeelHeap {
 
 }  // namespace detail
 
-/// Which nodes take part in a peel (and therefore count in φ's
-/// denominator and appear in the removal order).
-enum class PeelNodeScope {
-  /// Every node of the graph, isolated ones included — the semantics of
-  /// the standalone seed PeelDensestBlock.
-  kAllNodes,
-  /// Only nodes incident to at least one residual edge — the semantics of
-  /// FDET's per-iteration compacted subgraphs (isolated nodes never make
-  /// it into a rebuilt subgraph).
-  kIncidentOnly,
-};
-
-/// Externally ownable arena of every buffer CsrPeeler (and the masked FDET
+/// Externally ownable arena of every buffer CsrPeeler (and the FDET
 /// driver, detect/fdet.h) needs: degree/priority/flag arrays, the peel
-/// heap, the residual-view rows, and the FDET work lists. Prepare() grows
-/// buffers to fit a graph and counts growth events, so a warm arena reused
-/// across many peels reports zero further allocations — the number the
-/// ensemble bench surfaces as `arena.grow_events`.
+/// heap and the residual-view rows. Prepare() and PrepareView() grow
+/// buffers to fit a graph and a residual and count growth events, so a
+/// warm arena reused across many peels reports zero further allocations —
+/// the number the ensemble bench surfaces as `arena.grow_events`.
 ///
 /// Invariants between uses (established by Prepare on fresh storage and
-/// restored by every peel / masked-FDET run): `edge_alive`, `user_degree`,
-/// `merchant_degree`, `gone`, `in_block_user`, `in_block_merchant` are
-/// all-zero over their prepared extent and the heap is empty. Buffers
-/// never shrink; an arena sized for one graph is warm for any graph with
-/// no more users/merchants/edges.
+/// restored by every peel / FDET run): `user_degree`, `merchant_degree`,
+/// `gone`, `in_block_user`, `in_block_merchant` and `view_alive` /
+/// `view_alive_m` are all-zero over their prepared extent and the heap is
+/// empty. Buffers never shrink; an arena sized for one graph is warm for
+/// any graph with no more users/merchants.
 ///
 /// @note Thread-safety: an arena is mutable state — one per thread.
 struct PeelScratch {
   std::vector<int64_t> user_degree;
   std::vector<int64_t> merchant_degree;
   std::vector<double> col_weight;
-  std::vector<double> edge_mass;  // per-edge weight·col_weight, by EdgeId
   std::vector<double> priority;
-  std::vector<uint8_t> edge_alive;
   std::vector<uint8_t> removed;
   std::vector<uint8_t> gone;
   detail::PeelHeap heap;
-  /// Nodes incident to the current residual (kIncidentOnly bookkeeping):
-  /// users in ascending id order, merchants sorted after collection.
+  /// Member nodes incident to the current alive residual, ascending.
   std::vector<UserId> incident_users;
   std::vector<MerchantId> incident_merchants;
   std::vector<int64_t> removal_order;
-  /// Per-peel dense heap-slot mapping: `dense_of[node]` (valid only for
-  /// the current peel's participants, overwritten per build) and its
-  /// compact inverse. Participant counts are bounded by int32 — a single
-  /// peel over >2^31 incident nodes is out of scope.
+  /// Parent merchant → member merchant id, valid only while
+  /// SetResidualView fills the per-slot rows.
   std::vector<int32_t> dense_of;
-  std::vector<int64_t> dense_to_node;
-  /// Residual work lists + block-membership flags for RunFdetCsrMasked.
-  std::vector<EdgeId> fdet_remaining;
-  std::vector<EdgeId> fdet_next;
+  /// Block-membership flags (member ids) for FDET's edge removal.
   std::vector<uint8_t> in_block_user;
   std::vector<uint8_t> in_block_merchant;
-  /// Residual view (CsrPeeler::SetResidualView): the member's edge mask
-  /// renumbered once into *member-dense* node ids — mask-incident users
+  /// Residual view (CsrPeeler::SetResidualView): the residual edge set
+  /// renumbered once into *member-dense* node ids — incident users
   /// 0..Uₘ-1 and merchants 0..Vₘ-1, both ascending in parent id — with
   /// every per-slot array compact and slot-aligned. One pass of parent
-  /// gathers per member; after it, PeelAliveInView and the masked FDET
-  /// driver stream only these residual-sized (mostly L1-resident) arrays,
-  /// exactly like peeling a materialized child, without building one.
-  /// The member numbering is monotone in parent id on each side, so
-  /// member-space heap tie-breaks, sorts, and ascending outputs map
-  /// 1:1 onto parent-space ones.
+  /// gathers per residual; after it, PeelAliveInView and the FDET driver
+  /// stream only these residual-sized arrays, exactly like peeling a
+  /// materialized child, without building one. The member numbering is
+  /// monotone in parent id on each side, so member-space heap
+  /// tie-breaks, sorts, and ascending outputs map 1:1 onto parent-space
+  /// ones.
   std::vector<EdgeId> view_mask;             ///< slot → parent EdgeId (asc)
   std::vector<double> view_weight_of;        ///< edge weight per mask slot
   std::vector<int32_t> view_user_dense;      ///< member user id per slot
@@ -207,98 +189,72 @@ struct PeelScratch {
   /// Uₘ of the current view (member merchant packed ids start here).
   int64_t member_user_count = 0;
 
-  /// Cumulative count of buffer growth events across all Prepare() calls;
-  /// stays flat once the arena is warm for the graphs it serves.
+  /// Cumulative count of buffer growth events across all Prepare() and
+  /// PrepareView() calls; stays flat once the arena is warm for the
+  /// graphs and residuals it serves.
   int64_t grow_events = 0;
 
-  /// Sizes every core peel/FDET buffer for `graph` (growing, never
-  /// shrinking) and returns the number of buffers that had to grow (0
-  /// when already warm). Residual-view buffers are NOT touched — they are
-  /// grown lazily by SetResidualView via PrepareView, sized by the mask,
-  /// so non-ensemble peels never pay for them.
+  /// Sizes every per-node buffer for `graph` (growing, never shrinking)
+  /// and returns the number of buffers that had to grow (0 when already
+  /// warm). Residual-view buffers are grown by PrepareView.
   int64_t Prepare(const CsrGraph& graph);
 
-  /// Sizes the residual-view buffers for a mask of `mask_size` edges
+  /// Sizes the residual-view buffers for a residual of `mask_size` edges
   /// (growing, never shrinking); counted in `grow_events` like Prepare.
+  /// Per-member-node rows get min(mask_size, prepared users or merchants)
+  /// entries: a residual touches no more nodes than it has edges, nor
+  /// than the graph has.
+  /// @pre Prepare() was called for the graph the residual belongs to.
   int64_t PrepareView(int64_t mask_size);
 };
 
 /// Reusable in-place peeler over one immutable CsrGraph.
 ///
 /// @note Thread-safety: the referenced CsrGraph is shared and immutable,
-///       but the peeler's scratch arena is mutable — use one instance (or
-///       one external arena) per thread. Every Peel() reuses the buffers.
+///       but the scratch arena is mutable — use one arena per thread.
 class CsrPeeler {
  public:
-  /// Borrows `graph` (which must outlive the peeler) and owns a private
-  /// arena sized for it — O(|U| + |V| + |E|) allocation, once.
-  explicit CsrPeeler(const CsrGraph& graph);
-
-  /// Borrows `graph` and an external arena (both must outlive the peeler).
-  /// The arena is Prepare()d for `graph`; repeated construction against a
+  /// Borrows `graph` and an arena (both must outlive the peeler). The
+  /// arena is Prepare()d for `graph`; repeated construction against a
   /// warm arena performs no allocation — the ensemble hot loop's mode.
   CsrPeeler(const CsrGraph& graph, PeelScratch* scratch);
 
-  /// Peels the subgraph formed by `residual_edges` (ascending EdgeIds,
-  /// duplicate-free) down to nothing, returning the argmax-φ prefix block
-  /// exactly like PeelDensestBlock. The residual set itself is not
-  /// modified; node ids in the result are the graph's own (no local
-  /// remapping). Every edge weight is scaled by `weight_scale` on the fly
-  /// — bit-identical to peeling a materialized subgraph whose stored
-  /// weights were pre-multiplied by the same factor (Theorem 1's 1/p
-  /// reweighting without a reweighted copy); pass 1.0 for no scaling.
-  ///
-  /// Both trailing parameters are deliberately explicit (no defaults, no
-  /// convenience overload): a double/bool pair with defaults would let
-  /// `Peel(edges, cfg, scope, 1.0/ratio)` silently bind the scale to
-  /// keep_trace (or vice versa) with no diagnostic.
-  ///
-  /// @pre  `residual_edges` is sorted ascending with no duplicates.
-  /// @post result.users / result.merchants are ascending; an empty
-  ///       residual (or empty graph) yields an empty block with score 0.
-  PeelResult Peel(std::span<const EdgeId> residual_edges,
-                  const DensityConfig& config, PeelNodeScope scope,
-                  double weight_scale, bool keep_trace);
-
-  /// Caches `mask` (the member's sampled edge set, ascending,
-  /// duplicate-free) as the residual view: one pass of parent gathers
-  /// renumbers the incident nodes into member-dense ids and builds
-  /// slot-aligned endpoint/weight rows in the arena — no allocation when
-  /// warm, no hash maps, no graph construction. Subsequent
-  /// PeelAliveInView() calls run entirely over these compact arrays.
+  /// Caches `mask` (the residual edge set — a member's sample, or every
+  /// edge of the graph — ascending, duplicate-free) as the residual view:
+  /// one pass of parent gathers renumbers the incident nodes into
+  /// member-dense ids and builds slot-aligned endpoint/weight rows in the
+  /// arena — no allocation when warm, no hash maps, no graph
+  /// construction. Subsequent PeelAliveInView() calls run entirely over
+  /// these compact arrays.
   void SetResidualView(std::span<const EdgeId> mask);
 
   /// View-driven peel of the *alive subset* of the residual view: peels
-  /// the subgraph formed by the mask slots whose `view_alive` flag is
-  /// set, with kIncidentOnly scope. The caller owns the alive flags
+  /// the subgraph formed by the mask slots whose `view_alive` flag is set
+  /// (only nodes incident to an alive edge take part) down to nothing,
+  /// returning the argmax-φ prefix block. The caller owns the alive flags
   /// (setting both per-slot copies for the whole mask before the first
   /// call and clearing edges between calls as blocks are removed —
-  /// exactly FDET's loop) and must clear them when done.
+  /// exactly FDET's loop) and must clear them when done. Every edge
+  /// weight is scaled by `weight_scale` on the fly — bit-identical to
+  /// peeling a materialized subgraph whose stored weights were
+  /// pre-multiplied by the same factor (Theorem 1's 1/p reweighting
+  /// without a reweighted copy); pass 1.0 for no scaling.
   ///
-  /// The result is in *member-dense* ids (result.users are member user
-  /// ids, result.merchants member merchant ids; removal_order packs
-  /// member ids) — translate through `member_users` / `member_merchants`.
-  /// Under that order-preserving translation the output is bit-identical
-  /// to Peel(alive_edges_ascending, kIncidentOnly, weight_scale): the
-  /// alive slots of the ascending mask *are* that residual list, in
-  /// order, and member numbering is monotone in parent id.
+  /// result.users / result.merchants are *member-dense* ids, ascending —
+  /// translate through `member_users` / `member_merchants`;
+  /// result.removal_order (kept with the trace) is already in the
+  /// parent's packed ids. See the header comment for the bit-exactness
+  /// contract against PeelDensestBlock.
   ///
   /// @pre SetResidualView() was called for this mask.
+  /// @post an empty alive set yields an empty block with score 0.
   PeelResult PeelAliveInView(const DensityConfig& config, double weight_scale,
                              bool keep_trace = false);
 
  private:
   const CsrGraph* graph_;
-  std::unique_ptr<PeelScratch> owned_;  // null when borrowing an arena
   PeelScratch* s_;
 };
-
-/// One-shot CSR peel of the whole graph, kAllNodes scope: produces results
-/// bit-identical to the seed `PeelDensestBlock(graph, ...)` (trace and
-/// removal order included).
-PeelResult PeelDensestBlockCsr(const CsrGraph& graph,
-                               const DensityConfig& config,
-                               bool keep_trace = false);
 
 }  // namespace ensemfdet
 

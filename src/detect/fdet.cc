@@ -126,84 +126,37 @@ bool ElbowConfirmed(const std::vector<double>& scores_so_far,
              AutoTruncationIndex(scores_so_far) + config.elbow_patience;
 }
 
-// Algorithm 1 over the whole graph: iterated in-place peeling with the
-// residual kept as an explicit ascending edge-id work list
-// (`fdet_remaining`). All mutable state lives in the arena; validation is
-// the caller's job.
-FdetResult RunFdetOverResidual(const CsrGraph& graph,
-                               const FdetConfig& config,
-                               PeelScratch* scratch) {
-  const int explore_limit = config.policy == TruncationPolicy::kFixedK
-                                ? std::max(config.max_blocks, config.fixed_k)
-                                : config.max_blocks;
+}  // namespace
 
-  std::vector<DetectedBlock> explored;
-  std::vector<double> scores_so_far;
-
-  CsrPeeler peeler(graph, scratch);
-  PeelScratch& s = *scratch;
-
-  while (static_cast<int>(explored.size()) < explore_limit &&
-         !s.fdet_remaining.empty()) {
-    PeelResult peel = peeler.Peel(s.fdet_remaining, config.density,
-                                  PeelNodeScope::kIncidentOnly,
-                                  /*weight_scale=*/1.0,
-                                  /*keep_trace=*/false);
-    if (peel.score <= config.min_block_score ||
-        (peel.users.empty() && peel.merchants.empty())) {
-      break;
-    }
-
-    DetectedBlock block;
-    block.score = peel.score;
-    block.users = std::move(peel.users);
-    block.merchants = std::move(peel.merchants);
-    explored.push_back(std::move(block));
-    DetectedBlock& added = explored.back();
-
-    // Remove E_i: residual edges induced by the block's vertex set, and
-    // record them on the block for diagnostics/invariant checking. The
-    // in_block flags are all-zero between iterations.
-    for (UserId u : added.users) s.in_block_user[u] = 1;
-    for (MerchantId v : added.merchants) s.in_block_merchant[v] = 1;
-    s.fdet_next.clear();
-    for (EdgeId e : s.fdet_remaining) {
-      const bool inside = s.in_block_user[graph.edge_user(e)] &&
-                          s.in_block_merchant[graph.edge_merchant(e)];
-      if (inside) {
-        added.edges.push_back(e);
-      } else {
-        s.fdet_next.push_back(e);
-      }
-    }
-    for (UserId u : added.users) s.in_block_user[u] = 0;
-    for (MerchantId v : added.merchants) s.in_block_merchant[v] = 0;
-    // The peeled block always contains at least one residual edge, so the
-    // loop strictly shrinks the residual and must terminate.
-    ENSEMFDET_CHECK(s.fdet_next.size() < s.fdet_remaining.size())
-        << "detected block removed no edges";
-    std::swap(s.fdet_remaining, s.fdet_next);
-
-    scores_so_far.push_back(added.score);
-    if (ElbowConfirmed(scores_so_far, config)) break;
-  }
-
-  return TruncateExplored(std::move(explored), config);
+Result<FdetResult> RunFdet(const CsrGraph& graph, const FdetConfig& config) {
+  // RunFdetCsrMasked validates `config` before touching the residual.
+  std::vector<EdgeId> all_edges(static_cast<size_t>(graph.num_edges()));
+  std::iota(all_edges.begin(), all_edges.end(), EdgeId{0});
+  PeelScratch scratch;
+  return RunFdetCsrMasked(graph, all_edges, /*weight_scale=*/1.0, config,
+                          &scratch);
 }
 
-// Algorithm 1 over a sampled residual of a shared parent — the ensemble
-// hot loop. The mask is cached once as a member-dense residual view
-// (SetResidualView) and the per-iteration residual is just the
-// `view_alive` bitmap over its slots: every iteration streams
-// residual-sized compact arrays with no parent-array gathers and no
-// work-list rebuild. Output is bit-identical to running
-// RunFdetOverResidual on the same initial residual: the alive slots of
-// the ascending mask are that iteration's work list, in order, and the
-// member-dense ids translate monotonically back to parent ids.
-FdetResult RunFdetInView(const CsrGraph& graph,
-                         std::span<const EdgeId> initial_residual,
-                         double weight_scale, const FdetConfig& config,
-                         PeelScratch* scratch) {
+// Algorithm 1 over a residual edge set of a shared parent — every edge for
+// RunFdet, a sampled mask for an ensemble member. The residual is cached
+// once as a member-dense view (SetResidualView) and the per-iteration
+// residual is just the `view_alive` bitmap over its slots: every
+// iteration streams residual-sized compact arrays with no parent-array
+// gathers and no work-list rebuild. The alive slots of the ascending mask
+// are that iteration's residual edge list, in order, and the member-dense
+// ids translate monotonically back to parent ids, so each iteration's
+// peel is the seed peel of the compacted residual (detect/csr_peeler.h).
+Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
+                                    std::span<const EdgeId> initial_residual,
+                                    double weight_scale,
+                                    const FdetConfig& config,
+                                    PeelScratch* scratch) {
+  ENSEMFDET_RETURN_NOT_OK(ValidateFdetConfig(config));
+  if (!(weight_scale > 0.0)) {
+    return Status::InvalidArgument("weight_scale must be > 0");
+  }
+  ENSEMFDET_CHECK(scratch != nullptr);
+
   const int explore_limit = config.policy == TruncationPolicy::kFixedK
                                 ? std::max(config.max_blocks, config.fixed_k)
                                 : config.max_blocks;
@@ -246,7 +199,7 @@ FdetResult RunFdetInView(const CsrGraph& graph,
     DetectedBlock& added = explored.back();
 
     // Remove E_i by clearing alive flags in mask order (so the recorded
-    // block edges come out ascending, exactly like the work-list path).
+    // block edges come out ascending, like RunFdetReference's).
     // Block-membership flags live in member id space — compact.
     for (UserId mu : peel.users) s.in_block_user[mu] = 1;
     for (MerchantId mj : peel.merchants) s.in_block_merchant[mj] = 1;
@@ -287,33 +240,6 @@ FdetResult RunFdetInView(const CsrGraph& graph,
   }
 
   return TruncateExplored(std::move(explored), config);
-}
-
-}  // namespace
-
-Result<FdetResult> RunFdet(const CsrGraph& graph, const FdetConfig& config) {
-  ENSEMFDET_RETURN_NOT_OK(ValidateFdetConfig(config));
-  PeelScratch scratch;
-  scratch.Prepare(graph);
-  scratch.fdet_remaining.resize(static_cast<size_t>(graph.num_edges()));
-  std::iota(scratch.fdet_remaining.begin(), scratch.fdet_remaining.end(),
-            EdgeId{0});
-  return RunFdetOverResidual(graph, config, &scratch);
-}
-
-Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
-                                    std::span<const EdgeId> initial_residual,
-                                    double weight_scale,
-                                    const FdetConfig& config,
-                                    PeelScratch* scratch) {
-  ENSEMFDET_RETURN_NOT_OK(ValidateFdetConfig(config));
-  if (!(weight_scale > 0.0)) {
-    return Status::InvalidArgument("weight_scale must be > 0");
-  }
-  ENSEMFDET_CHECK(scratch != nullptr);
-  scratch->Prepare(graph);
-  return RunFdetInView(graph, initial_residual, weight_scale, config,
-                       scratch);
 }
 
 Result<FdetResult> RunFdetReference(const CsrGraph& graph,

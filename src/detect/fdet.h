@@ -78,11 +78,10 @@ struct FdetResult {
 /// into background noise, so the cliff is interior in practice.
 int AutoTruncationIndex(const std::vector<double>& scores);
 
-/// Runs FDET on `graph`: iterated in-place peeling over the shared
-/// immutable graph (see detect/csr_peeler.h). The per-iteration residual
-/// is an edge-id subset; no subgraph is ever materialized. Node/edge ids
-/// in the result are `graph`'s own. Fails with InvalidArgument on
-/// nonsensical configuration (max_blocks < 1, fixed_k < 1,
+/// Runs FDET on `graph`: RunFdetCsrMasked over every edge at weight scale
+/// 1.0, with a call-local arena. No subgraph is ever materialized; node/
+/// edge ids in the result are `graph`'s own. Fails with InvalidArgument
+/// on nonsensical configuration (max_blocks < 1, fixed_k < 1,
 /// log_offset ≤ 1).
 ///
 /// @post Result blocks are in detection order with pairwise-disjoint,
@@ -94,20 +93,20 @@ int AutoTruncationIndex(const std::vector<double>& scores);
 ///       its scratch).
 Result<FdetResult> RunFdet(const CsrGraph& graph, const FdetConfig& config);
 
-/// Zero-materialization FDET over a *residual edge subset* of a shared
-/// immutable parent graph — the ensemble hot-loop entry point. Runs the
-/// exact Algorithm 1 loop of RunFdet, but starting from
-/// `initial_residual` instead of the whole edge set, scaling every edge
-/// weight by `weight_scale` on the fly (Theorem 1's 1/p reweighting
-/// without a reweighted copy), and drawing every buffer from `scratch` so
+/// FDET over a *residual edge subset* of a shared immutable parent graph —
+/// the one Algorithm 1 loop, used by RunFdet (every edge) and by ensemble
+/// members (a sampled mask). Starts from `initial_residual`, scales every
+/// edge weight by `weight_scale` on the fly (Theorem 1's 1/p reweighting
+/// without a reweighted copy), and draws every buffer from `scratch` so
 /// repeated calls against a warm arena allocate nothing but the result.
 ///
-/// Bit-exactness: for a sampled edge set, the output blocks/scores/counts
-/// are identical — under the order-isomorphic id relabeling — to
-/// materializing the child subgraph over those edges (weights
-/// pre-scaled) and running RunFdet on it; node
-/// and edge ids in the result are the *parent's* own, so no remapping
-/// step exists. tests/ensemble_parity_test.cc pins this end to end.
+/// Bit-exactness: every iteration's peel is the seed PeelDensestBlock of
+/// the compacted residual (detect/csr_peeler.h), so the output equals —
+/// under the order-isomorphic id relabeling — materializing the child
+/// subgraph over `initial_residual` (weights pre-scaled) and running
+/// RunFdetReference on it; node and edge ids in the result are the
+/// *parent's* own, so no remapping step exists.
+/// tests/ensemble_parity_test.cc pins this end to end.
 ///
 /// @pre `initial_residual` is ascending and duplicate-free;
 ///      `weight_scale` > 0; `scratch` != nullptr.

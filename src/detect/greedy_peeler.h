@@ -43,9 +43,9 @@ struct PeelResult {
 ///       call concurrently on the same graph. Deterministic: equal-
 ///       priority ties break toward the smaller packed node id.
 /// @note This is the seed implementation (fresh heap and flags per call,
-///       EdgeId-indirect neighbor walks); the hot path uses the bit-exact
-///       in-place rewrite in detect/csr_peeler.h (PeelDensestBlockCsr),
-///       which this remains the reference for.
+///       EdgeId-indirect neighbor walks), kept as the referee: the hot
+///       path's CsrPeeler::PeelAliveInView reproduces it bit for bit on
+///       the compacted residual (contract in detect/csr_peeler.h).
 PeelResult PeelDensestBlock(const CsrGraph& graph,
                             const DensityConfig& config,
                             bool keep_trace = false);

@@ -46,20 +46,6 @@ int64_t NextAliveImpl(const uint8_t* alive, int64_t n, int64_t from) {
   return n;
 }
 
-template <typename Traits>
-int64_t CountAliveImpl(const uint8_t* alive, int64_t n) {
-  int64_t count = 0;
-  int64_t i = 0;
-  for (; i + Traits::kBytesPerBlock <= n; i += Traits::kBytesPerBlock) {
-    count += __builtin_popcountll(
-        static_cast<uint64_t>(Traits::NonZeroByteMask(alive, i)));
-  }
-  for (; i < n; ++i) {
-    count += (alive[i] != 0) ? 1 : 0;
-  }
-  return count;
-}
-
 }  // namespace simd
 }  // namespace ensemfdet
 

@@ -13,7 +13,7 @@
 //     FMA contraction), elementwise and independently — bit-exact at
 //     every ISA level, which is why the peeling hot path can deploy it
 //     without weakening the ensemble's bit-parity gates.
-//   * next_alive / count_alive are integer — trivially exact.
+//   * next_alive is integer — trivially exact.
 // No kernel reassociates floating-point additions: the in-order peeling
 // mass accumulation stays scalar, so every kernel is bit-exact.
 #ifndef ENSEMFDET_DETECT_SIMD_KERNELS_H_
@@ -44,9 +44,6 @@ struct KernelTable {
   /// First index >= from with alive[i] != 0, or n when none remains.
   /// The alive-bitmap scan of the peel init and block-removal loops.
   int64_t (*next_alive)(const uint8_t* alive, int64_t n, int64_t from);
-
-  /// Number of nonzero bytes in alive[0, n) (bitmap popcount).
-  int64_t (*count_alive)(const uint8_t* alive, int64_t n);
 
   IsaLevel level;
 };

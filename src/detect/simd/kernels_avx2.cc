@@ -16,8 +16,9 @@ namespace simd {
 
 const KernelTable* Avx2KernelsOrNull() {
   static const KernelTable table = {
-      GatherSlotMassImpl<Avx2Traits>, NextAliveImpl<Avx2Traits>,
-      CountAliveImpl<Avx2Traits>,     IsaLevel::kAvx2,
+      GatherSlotMassImpl<Avx2Traits>,
+      NextAliveImpl<Avx2Traits>,
+      IsaLevel::kAvx2,
   };
   return &table;
 }

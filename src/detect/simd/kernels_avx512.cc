@@ -16,8 +16,9 @@ namespace simd {
 
 const KernelTable* Avx512KernelsOrNull() {
   static const KernelTable table = {
-      GatherSlotMassImpl<Avx512Traits>, NextAliveImpl<Avx512Traits>,
-      CountAliveImpl<Avx512Traits>,     IsaLevel::kAvx512,
+      GatherSlotMassImpl<Avx512Traits>,
+      NextAliveImpl<Avx512Traits>,
+      IsaLevel::kAvx512,
   };
   return &table;
 }

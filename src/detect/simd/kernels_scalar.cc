@@ -26,19 +26,12 @@ int64_t ScalarNextAlive(const uint8_t* alive, int64_t n, int64_t from) {
   return n;
 }
 
-int64_t ScalarCountAlive(const uint8_t* alive, int64_t n) {
-  int64_t count = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    count += (alive[i] != 0) ? 1 : 0;
-  }
-  return count;
-}
-
 }  // namespace
 
 const KernelTable& ScalarKernels() {
   static const KernelTable table = {
-      ScalarGatherSlotMass, ScalarNextAlive, ScalarCountAlive,
+      ScalarGatherSlotMass,
+      ScalarNextAlive,
       IsaLevel::kScalar,
   };
   return table;

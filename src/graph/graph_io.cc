@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -146,7 +147,18 @@ Result<CsrGraph> LoadEdgeListTsv(const std::string& path) {
     builder.AddEdge(static_cast<UserId>(pe.user),
                     static_cast<MerchantId>(pe.merchant), pe.weight);
   }
-  return builder.Build(DuplicatePolicy::kSumWeights);
+  // The CSR offsets are sized by the declared node counts, which the
+  // header may set far beyond what the file's edges need (up to 2^32 - 1
+  // per side, ~32 GiB of offsets): an allocation that fails is this
+  // input's error, not a crash.
+  try {
+    return builder.Build(DuplicatePolicy::kSumWeights);
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted(
+        path + ": out of memory building a graph of " +
+        std::to_string(num_users) + " users and " +
+        std::to_string(num_merchants) + " merchants");
+  }
 }
 
 }  // namespace ensemfdet

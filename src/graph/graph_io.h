@@ -22,7 +22,8 @@ Status SaveEdgeListTsv(const CsrGraph& graph, const std::string& path);
 /// Reads a graph from `path`. Duplicate edges are merged with
 /// DuplicatePolicy::kSumWeights. Fails with IOError on a malformed line,
 /// on ids or declared node counts that do not fit 32-bit ids, and on ids
-/// beyond the declared counts.
+/// beyond the declared counts; with ResourceExhausted when the graph
+/// (sized by the declared counts) cannot be allocated.
 Result<CsrGraph> LoadEdgeListTsv(const std::string& path);
 
 }  // namespace ensemfdet

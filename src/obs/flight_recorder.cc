@@ -86,11 +86,15 @@ struct FlightState {
   FlightRecorderOptions opts;
   std::atomic<uint32_t> next_slot{0};
   std::atomic<bool> footer_written{false};
+  // The state this one replaced. Retired states are never freed — a
+  // thread racing a reinstall through a cached pointer (or a signal
+  // handler) may still write into one — but they stay reachable from
+  // the live state instead of leaking.
+  FlightState* retired = nullptr;
 };
 
-// Swapped on (re)install; the old state is leaked deliberately so a
-// thread racing a reinstall through a cached pointer still writes into
-// live (just orphaned) memory.
+// Swapped on (re)install; the replaced state is chained from the new one
+// (FlightState::retired), never freed.
 std::atomic<FlightState*> g_flight_state{nullptr};
 std::atomic<uint64_t> g_flight_epoch{0};
 
@@ -305,7 +309,7 @@ Status InstallFlightRecorder(const FlightRecorderOptions& options) {
     return Status::IOError("mmap(" + options.path + ") failed: " + err);
   }
 
-  auto* state = new FlightState();  // leaked on reinstall by design
+  auto* state = new FlightState();  // never freed; see FlightState::retired
   state->fd = fd;
   state->base = static_cast<uint8_t*>(base);
   state->mapped_bytes = bytes;
@@ -325,6 +329,7 @@ Status InstallFlightRecorder(const FlightRecorderOptions& options) {
   header->name_bytes = kNameBytes;
 
   InstallSignalHandlersOnce();
+  state->retired = g_flight_state.load(std::memory_order_acquire);
   g_flight_state.store(state, std::memory_order_release);
   g_flight_epoch.fetch_add(1, std::memory_order_relaxed);
   internal::g_flight_active.store(true, std::memory_order_release);

@@ -1,10 +1,12 @@
 // Bit-exact parity of the in-place peeling hot path against the seed
 // implementations kept as referees: on random graphs — weighted and
-// unweighted, dense and sparse, with isolated nodes — the in-place peeler
-// and in-place FDET must reproduce the seed peeler's and the materializing
-// FDET's scores, suspicious sets, traces, and removal orders exactly (== on
-// doubles, not near); the bucket k-core must match a naive peel.
+// unweighted, dense and sparse, with isolated nodes — the residual-view
+// peel must reproduce the seed peeler's scores, suspicious sets, traces,
+// and removal orders on the compacted graph, and RunFdet must reproduce
+// the materializing FDET, exactly (== on doubles, not near); the bucket
+// k-core must match a naive peel.
 #include <algorithm>
+#include <numeric>
 #include <tuple>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "graph/csr_graph.h"
 #include "graph/graph_builder.h"
 #include "graph/kcore.h"
+#include "graph/subgraph.h"
 
 namespace ensemfdet {
 namespace {
@@ -73,6 +76,43 @@ void ExpectFdetResultsIdentical(const FdetResult& seed,
   }
 }
 
+// The seed peel of `g`'s compacted graph (isolated nodes dropped — the
+// node set a residual peel works on), ids translated to `g`'s own.
+PeelResult SeedPeelCompacted(const CsrGraph& g, const DensityConfig& density) {
+  std::vector<EdgeId> all(static_cast<size_t>(g.num_edges()));
+  std::iota(all.begin(), all.end(), EdgeId{0});
+  const SubgraphView sub = SubgraphFromEdges(g, all);
+  PeelResult r = PeelDensestBlock(sub.graph, density, /*keep_trace=*/true);
+  for (UserId& u : r.users) u = sub.user_map[u];
+  for (MerchantId& v : r.merchants) v = sub.merchant_map[v];
+  const int64_t sub_users = sub.graph.num_users();
+  for (int64_t& id : r.removal_order) {
+    id = id < sub_users ? sub.user_map[static_cast<size_t>(id)]
+                        : g.num_users() +
+                              sub.merchant_map[static_cast<size_t>(
+                                  id - sub_users)];
+  }
+  return r;
+}
+
+// The residual-view peel over every edge of `g`, on a test-owned arena,
+// with the block translated from member ids to `g`'s own (the removal
+// order already is in `g`'s packed ids).
+PeelResult ViewPeelAllEdges(const CsrGraph& g, const DensityConfig& density) {
+  PeelScratch scratch;
+  CsrPeeler peeler(g, &scratch);
+  std::vector<EdgeId> all(static_cast<size_t>(g.num_edges()));
+  std::iota(all.begin(), all.end(), EdgeId{0});
+  peeler.SetResidualView(all);
+  std::fill_n(scratch.view_alive.begin(), all.size(), uint8_t{1});
+  std::fill_n(scratch.view_alive_m.begin(), all.size(), uint8_t{1});
+  PeelResult r = peeler.PeelAliveInView(density, /*weight_scale=*/1.0,
+                                        /*keep_trace=*/true);
+  for (UserId& u : r.users) u = scratch.member_users[u];
+  for (MerchantId& v : r.merchants) v = scratch.member_merchants[v];
+  return r;
+}
+
 class CsrParityTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
@@ -84,9 +124,8 @@ TEST_P(CsrParityTest, PeelerBitExact) {
         ColumnWeightKind::kConstant}) {
     DensityConfig density;
     density.weight_kind = kind;
-    ExpectPeelResultsIdentical(
-        PeelDensestBlock(g, density, /*keep_trace=*/true),
-        PeelDensestBlockCsr(g, density, /*keep_trace=*/true));
+    ExpectPeelResultsIdentical(SeedPeelCompacted(g, density),
+                               ViewPeelAllEdges(g, density));
   }
 }
 
@@ -179,9 +218,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CsrParityDegenerateTest, EmptyGraph) {
   CsrGraph g;
-  ExpectPeelResultsIdentical(
-      PeelDensestBlock(g, {}, true),
-      PeelDensestBlockCsr(g, {}, true));
+  ExpectPeelResultsIdentical(SeedPeelCompacted(g, {}),
+                             ViewPeelAllEdges(g, {}));
   ExpectFdetResultsIdentical(RunFdetReference(g, {}).ValueOrDie(),
                              RunFdet(g, {}).ValueOrDie());
 }
@@ -189,9 +227,8 @@ TEST(CsrParityDegenerateTest, EmptyGraph) {
 TEST(CsrParityDegenerateTest, EdgelessNodes) {
   GraphBuilder b(6, 4);
   CsrGraph g = b.Build().ValueOrDie();
-  ExpectPeelResultsIdentical(
-      PeelDensestBlock(g, {}, true),
-      PeelDensestBlockCsr(g, {}, true));
+  ExpectPeelResultsIdentical(SeedPeelCompacted(g, {}),
+                             ViewPeelAllEdges(g, {}));
   ExpectFdetResultsIdentical(RunFdetReference(g, {}).ValueOrDie(),
                              RunFdet(g, {}).ValueOrDie());
 }
@@ -200,9 +237,8 @@ TEST(CsrParityDegenerateTest, SingleEdge) {
   GraphBuilder b(3, 3);
   b.AddEdge(2, 1);
   CsrGraph g = b.Build().ValueOrDie();
-  ExpectPeelResultsIdentical(
-      PeelDensestBlock(g, {}, true),
-      PeelDensestBlockCsr(g, {}, true));
+  ExpectPeelResultsIdentical(SeedPeelCompacted(g, {}),
+                             ViewPeelAllEdges(g, {}));
   ExpectFdetResultsIdentical(RunFdetReference(g, {}).ValueOrDie(),
                              RunFdet(g, {}).ValueOrDie());
 }
@@ -212,9 +248,8 @@ TEST(CsrParityDegenerateTest, StarGraph) {
   GraphBuilder b(12, 1);
   for (UserId u = 0; u < 12; ++u) b.AddEdge(u, 0);
   CsrGraph g = b.Build().ValueOrDie();
-  ExpectPeelResultsIdentical(
-      PeelDensestBlock(g, {}, true),
-      PeelDensestBlockCsr(g, {}, true));
+  ExpectPeelResultsIdentical(SeedPeelCompacted(g, {}),
+                             ViewPeelAllEdges(g, {}));
   ExpectFdetResultsIdentical(RunFdetReference(g, {}).ValueOrDie(),
                              RunFdet(g, {}).ValueOrDie());
 }

@@ -4,9 +4,23 @@
 #include <fstream>
 #include <string>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
+
+// Sanitizer runtimes reserve terabytes of address space up front, so an
+// address-space cap cannot be applied under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define ENSEMFDET_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define ENSEMFDET_TEST_SANITIZED 1
+#endif
+#endif
 
 namespace ensemfdet {
 namespace {
@@ -155,6 +169,34 @@ TEST_F(GraphIoTest, NegativeDeclaredCountFails) {
   auto g = LoadEdgeListTsv(path);
   ASSERT_FALSE(g.ok());
   EXPECT_EQ(g.status().code(), StatusCode::kIOError);
+}
+
+#if !defined(ENSEMFDET_TEST_SANITIZED)
+// Loads `path` with the process address space capped at 2 GiB; exits 0
+// iff the load failed with ResourceExhausted.
+[[noreturn]] void LoadUnderAddressSpaceCap(const std::string& path) {
+  constexpr rlim_t kCap = rlim_t{2} << 30;
+  const rlimit cap{kCap, kCap};
+  if (setrlimit(RLIMIT_AS, &cap) != 0) _exit(2);
+  auto g = LoadEdgeListTsv(path);
+  _exit(!g.ok() && g.status().code() == StatusCode::kResourceExhausted ? 0
+                                                                       : 1);
+}
+#endif
+
+// A header may declare up to 2^32 - 1 users, whose CSR offsets alone need
+// ~32 GiB. With the allocation refused, the load must return a Status
+// instead of dying in std::bad_alloc. The load runs in a forked child
+// under a 2 GiB address-space cap, so the cap never reaches this process.
+TEST_F(GraphIoTest, OversizedDeclaredNodeCountIsResourceExhausted) {
+#if defined(ENSEMFDET_TEST_SANITIZED)
+  GTEST_SKIP() << "address-space caps do not apply under sanitizers";
+#else
+  const std::string path = TempPath("oversized_header.tsv");
+  WriteFile(path, "# bipartite 4294967295 1\n0\t0\n");
+  EXPECT_EXIT(LoadUnderAddressSpaceCap(path), ::testing::ExitedWithCode(0),
+              "");
+#endif
 }
 
 TEST_F(GraphIoTest, MissingFileFails) {

@@ -200,10 +200,11 @@ TEST_F(ObsTest, HistogramQuantileWithinTwoXOfTrueValue) {
   // the same bucket as the true order statistic.
   Histogram h(Histogram::Unit::kUnits);
   std::vector<int64_t> values;
-  int64_t seed = 12345;
+  uint64_t seed = 12345;  // unsigned: the LCG wraps by design
   for (int i = 0; i < 4096; ++i) {
-    seed = seed * 6364136223846793005LL + 1442695040888963407LL;
-    values.push_back((seed >> 33) & 0xFFFFF);  // [0, 2^20)
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    // [0, 2^20)
+    values.push_back(static_cast<int64_t>((seed >> 33) & 0xFFFFF));
     h.Record(values.back());
   }
   std::sort(values.begin(), values.end());
