@@ -1,18 +1,17 @@
 #include "perf_harness.h"
 
 #include <algorithm>
-#include <cstdarg>
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
-#include <limits>
 #include <thread>
 #include <vector>
-
-#include <filesystem>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -45,24 +44,56 @@ namespace bench {
 
 namespace {
 
-// printf-append onto a std::string (JSON is assembled by hand; the schema
-// is small and pinned by bench/README.md + the CI validator).
-void AppendF(std::string* out, const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  char buf[512];
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out->append(buf, static_cast<size_t>(std::min<int>(
-                       n, static_cast<int>(sizeof(buf)) - 1)));
+// Workload constants — knobs bench-report never sets. Each is recorded
+// in its document's `config` or `graph` block.
+
+// Peeling bench: FDET block budget of the iterated-peeling rows.
+constexpr int kPeelMaxBlocks = 12;
+
+// Stream bench: a fragmented transaction day — sparse uniform background
+// over large universes (many small components) plus several dense fraud
+// bursts, streamed through a sliding window, with a small ensemble per
+// detection.
+constexpr int64_t kStreamUsers = 6000;
+constexpr int64_t kStreamMerchants = 4000;
+constexpr int64_t kStreamEdges = 5000;
+constexpr int kStreamFraudGroups = 6;
+constexpr int64_t kStreamHorizon = 86400;
+constexpr int64_t kStreamBurstDuration = 2400;
+constexpr int64_t kStreamWindow = 21600;
+constexpr int64_t kStreamDetectionInterval = 600;
+constexpr int64_t kStreamBatchEvents = 128;
+constexpr int kStreamSamples = 8;
+constexpr double kStreamRatio = 0.25;
+
+// WAL bench: a synthetic batch stream, one WAL record per batch — exactly
+// what a durable service session appends per IngestBatch ack — with a
+// small segment size so rotation cost is in the number.
+constexpr int64_t kWalBatches = 96;
+constexpr int64_t kWalBatchEvents = 128;
+constexpr int64_t kWalUsers = 6000;
+constexpr int64_t kWalMerchants = 4000;
+constexpr int64_t kWalGroupCommitRecords = 16;
+constexpr uint64_t kWalSegmentBytes = 256 * 1024;
+
+// Obs bench: the overhead budget check_bench.py enforces, and the minimum
+// repeats — the gated quantity is a small difference between two
+// timings, so the min needs extra samples to shake scheduler noise out.
+constexpr double kObsBudgetFraction = 0.02;
+constexpr int kObsMinRepeats = 12;
+
+Status CheckOptions(const BenchOptions& options) {
+  if (options.repeats < 1) {
+    return Status::InvalidArgument("repeats must be >= 1");
+  }
+  return Status::OK();
 }
 
-struct Timing {
-  std::string name;
-  double seconds_min = std::numeric_limits<double>::infinity();
-  double seconds_mean = 0.0;
-  int repeats = 0;
-};
+// Repeats of the benches that run half as often as the peeling and
+// storage benches.
+int HalfRepeats(const BenchOptions& options) {
+  return std::max(1, options.repeats / 2);
+}
 
 Timing Measure(const std::string& name, int repeats,
                const std::function<void()>& fn) {
@@ -81,43 +112,27 @@ Timing Measure(const std::string& name, int repeats,
   return t;
 }
 
-void AppendGraphJson(std::string* out, const PerfGraphSpec& spec,
-                     const CsrGraph& graph) {
-  AppendF(out,
-          "  \"graph\": {\"preset\": \"dataset1\", \"scale\": %.6g, "
-          "\"seed\": %llu, \"users\": %lld, \"merchants\": %lld, "
-          "\"edges\": %lld},\n",
-          spec.scale, static_cast<unsigned long long>(spec.seed),
-          static_cast<long long>(graph.num_users()),
-          static_cast<long long>(graph.num_merchants()),
-          static_cast<long long>(graph.num_edges()));
+BenchFields GraphFields(const std::string& preset, double scale,
+                        uint64_t seed, int64_t users, int64_t merchants,
+                        int64_t edges) {
+  return {{"preset", preset},       {"scale", scale},
+          {"seed", seed},           {"users", users},
+          {"merchants", merchants}, {"edges", edges}};
 }
 
-void AppendTimingsJson(std::string* out, const std::vector<Timing>& timings) {
-  out->append("  \"timings\": [\n");
-  for (size_t i = 0; i < timings.size(); ++i) {
-    AppendF(out,
-            "    {\"name\": \"%s\", \"seconds_min\": %.9g, "
-            "\"seconds_mean\": %.9g, \"repeats\": %d}%s\n",
-            timings[i].name.c_str(), timings[i].seconds_min,
-            timings[i].seconds_mean, timings[i].repeats,
-            i + 1 < timings.size() ? "," : "");
-  }
-  out->append("  ],\n");
+BenchFields DatasetGraphFields(const BenchOptions& options,
+                               const CsrGraph& graph) {
+  return GraphFields("dataset1", options.scale, options.seed,
+                     graph.num_users(), graph.num_merchants(),
+                     graph.num_edges());
 }
-
-// One per-ISA kernel timing row of BENCH_ensemble.json's "kernels" array.
-struct KernelRow {
-  const char* kernel;
-  const char* isa;
-  double ns_per_element;
-};
 
 // Times every dispatchable kernel at every ISA level this build+CPU can
 // run, on a synthetic slot-aligned residual view (the PeelScratch view_*
 // shape, ~30% dead slots). Deterministic arithmetic fill — no RNG — so
-// two runs on one machine time identical data.
-std::vector<KernelRow> MeasureKernelRows(int repeats) {
+// two runs on one machine time identical data. One row per kernel and
+// level: {kernel, isa, ns_per_element}.
+std::vector<BenchFields> MeasureKernelRows(int repeats) {
   constexpr int64_t kN = 1 << 16;
   constexpr int kInnerIters = 16;
   constexpr int32_t kPackedBase = 1000;
@@ -140,26 +155,28 @@ std::vector<KernelRow> MeasureKernelRows(int repeats) {
 
   // Fold every kernel's result into a sink the compiler can't prove dead.
   double sink = 0.0;
-  std::vector<KernelRow> rows;
+  std::vector<BenchFields> rows;
   for (simd::IsaLevel level :
        {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2,
         simd::IsaLevel::kAvx512}) {
     if (level > simd::DetectedIsaLevel()) continue;
     const simd::KernelTable& kern = simd::KernelsFor(level);
     if (kern.level != level) continue;  // build ceiling below this level
-    const char* isa = simd::IsaLevelName(level);
+    const std::string isa = simd::IsaLevelName(level);
     const double denom = static_cast<double>(kInnerIters) * kN;
 
-    Timing t = Measure(std::string("kernel_gather_") + isa, repeats, [&] {
+    Timing t = Measure("kernel_gather_" + isa, repeats, [&] {
       for (int it = 0; it < kInnerIters; ++it) {
         kern.gather_slot_mass(weight.data(), packed.data(), kPackedBase,
                               col_weight.data(), 0.75, kN, out.data());
       }
     });
     sink += out[kN - 1];
-    rows.push_back({"gather_slot_mass", isa, t.seconds_min / denom * 1e9});
+    rows.push_back({{"kernel", std::string("gather_slot_mass")},
+                    {"isa", isa},
+                    {"ns_per_element", t.seconds_min / denom * 1e9}});
 
-    t = Measure(std::string("kernel_next_alive_") + isa, repeats, [&] {
+    t = Measure("kernel_next_alive_" + isa, repeats, [&] {
       for (int it = 0; it < kInnerIters; ++it) {
         int64_t walked = 0;
         for (int64_t i = kern.next_alive(alive.data(), kN, 0); i < kN;
@@ -169,7 +186,9 @@ std::vector<KernelRow> MeasureKernelRows(int repeats) {
         sink += static_cast<double>(walked);
       }
     });
-    rows.push_back({"next_alive", isa, t.seconds_min / denom * 1e9});
+    rows.push_back({{"kernel", std::string("next_alive")},
+                    {"isa", isa},
+                    {"ns_per_element", t.seconds_min / denom * 1e9}});
   }
   // Publish the sink so none of the measured loops can be elided.
   static volatile double g_kernel_bench_sink;
@@ -218,50 +237,50 @@ bool SameFdet(const FdetResult& a, const FdetResult& b) {
   return true;
 }
 
-// Bit-exact ensemble report equality (votes, weighted votes, member
-// structural stats) — shared by the obs bench's instrumentation-must-not-
-// perturb-results gate.
-bool SameEnsembleReports(const EnsemFDetReport& a, const EnsemFDetReport& b) {
-  if (a.num_samples != b.num_samples ||
-      a.votes.all_user_votes().size() != b.votes.all_user_votes().size() ||
-      a.votes.all_merchant_votes().size() !=
-          b.votes.all_merchant_votes().size() ||
-      !std::equal(a.votes.all_user_votes().begin(),
-                  a.votes.all_user_votes().end(),
-                  b.votes.all_user_votes().begin()) ||
-      !std::equal(a.votes.all_merchant_votes().begin(),
-                  a.votes.all_merchant_votes().end(),
-                  b.votes.all_merchant_votes().begin()) ||
-      a.weighted_user_votes != b.weighted_user_votes ||
-      a.weighted_merchant_votes != b.weighted_merchant_votes ||
-      a.members.size() != b.members.size()) {
-    return false;
+// Bit-exact ensemble report comparison, one flag per parity key the
+// documents record: votes (and ensemble size), weighted votes, and the
+// member structural stats (wall-clock and arena counters excluded).
+struct ReportParity {
+  bool votes = true;
+  bool weighted = true;
+  bool members = true;
+  bool all() const { return votes && weighted && members; }
+};
+
+ReportParity CompareReports(const EnsemFDetReport& a,
+                            const EnsemFDetReport& b) {
+  ReportParity parity;
+  const auto& au = a.votes.all_user_votes();
+  const auto& bu = b.votes.all_user_votes();
+  const auto& am = a.votes.all_merchant_votes();
+  const auto& bm = b.votes.all_merchant_votes();
+  parity.votes = a.num_samples == b.num_samples &&
+                 std::equal(au.begin(), au.end(), bu.begin(), bu.end()) &&
+                 std::equal(am.begin(), am.end(), bm.begin(), bm.end());
+  parity.weighted = a.weighted_user_votes == b.weighted_user_votes &&
+                    a.weighted_merchant_votes == b.weighted_merchant_votes;
+  parity.members = a.members.size() == b.members.size();
+  for (size_t i = 0; parity.members && i < a.members.size(); ++i) {
+    parity.members =
+        a.members[i].sample_users == b.members[i].sample_users &&
+        a.members[i].sample_merchants == b.members[i].sample_merchants &&
+        a.members[i].sample_edges == b.members[i].sample_edges &&
+        a.members[i].num_blocks == b.members[i].num_blocks;
   }
-  for (size_t i = 0; i < a.members.size(); ++i) {
-    if (a.members[i].sample_users != b.members[i].sample_users ||
-        a.members[i].sample_merchants != b.members[i].sample_merchants ||
-        a.members[i].sample_edges != b.members[i].sample_edges ||
-        a.members[i].num_blocks != b.members[i].num_blocks) {
-      return false;
-    }
-  }
-  return true;
+  return parity;
 }
 
 }  // namespace
 
-Result<std::string> RunPeelingBench(const PeelingBenchOptions& options) {
-  if (options.repeats < 1) {
-    return Status::InvalidArgument("repeats must be >= 1");
-  }
+Result<BenchDocument> RunPeelingBench(const BenchOptions& options) {
+  ENSEMFDET_RETURN_NOT_OK(CheckOptions(options));
   ENSEMFDET_ASSIGN_OR_RETURN(
-      Dataset dataset, GenerateJdPreset(JdPreset::kDataset1,
-                                        options.graph.scale,
-                                        options.graph.seed));
+      Dataset dataset,
+      GenerateJdPreset(JdPreset::kDataset1, options.scale, options.seed));
   const CsrGraph& graph = dataset.graph;
 
   FdetConfig fdet_config;
-  fdet_config.max_blocks = options.max_blocks;
+  fdet_config.max_blocks = kPeelMaxBlocks;
   const DensityConfig density;
 
   // Untimed reference runs establish parity before anything is measured.
@@ -289,7 +308,11 @@ Result<std::string> RunPeelingBench(const PeelingBenchOptions& options) {
         "graph — refusing to emit BENCH_peeling.json");
   }
 
-  std::vector<Timing> timings;
+  BenchDocument doc;
+  doc.bench = "peeling";
+  doc.graph = DatasetGraphFields(options, graph);
+  doc.config = {{"repeats", options.repeats}, {"max_blocks", kPeelMaxBlocks}};
+  std::vector<Timing>& timings = doc.timings;
   timings.push_back(Measure("adjacency_single_peel", options.repeats, [&] {
     PeelResult r = PeelDensestBlock(compact.graph, density);
     (void)r;
@@ -307,39 +330,24 @@ Result<std::string> RunPeelingBench(const PeelingBenchOptions& options) {
     (void)r;
   }));
 
-  const double peel_speedup = timings[0].seconds_min / timings[1].seconds_min;
-  const double fdet_speedup = timings[2].seconds_min / timings[3].seconds_min;
-
-  std::string out;
-  out.append("{\n");
-  out.append("  \"schema_version\": 1,\n");
-  out.append("  \"bench\": \"peeling\",\n");
-  AppendGraphJson(&out, options.graph, graph);
-  AppendF(&out, "  \"config\": {\"repeats\": %d, \"max_blocks\": %d},\n",
-          options.repeats, options.max_blocks);
-  AppendTimingsJson(&out, timings);
-  AppendF(&out,
-          "  \"speedup\": {\"csr_single_peel_vs_adjacency\": %.4g, "
-          "\"csr_fdet_vs_adjacency\": %.4g},\n",
-          peel_speedup, fdet_speedup);
-  AppendF(&out,
-          "  \"parity\": {\"single_peel_identical\": %s, "
-          "\"fdet_identical\": %s}\n",
-          peel_identical ? "true" : "false",
-          fdet_identical ? "true" : "false");
-  out.append("}\n");
-  return out;
+  doc.sections = {
+      {"speedup",
+       {{"csr_single_peel_vs_adjacency",
+         timings[0].seconds_min / timings[1].seconds_min},
+        {"csr_fdet_vs_adjacency",
+         timings[2].seconds_min / timings[3].seconds_min}}},
+      {"parity",
+       {{"single_peel_identical", peel_identical},
+        {"fdet_identical", fdet_identical}}},
+  };
+  return doc;
 }
 
-Result<std::string> RunStorageBench(const StorageBenchOptions& options,
-                                    StorageBenchSummary* summary) {
-  if (options.repeats < 1) {
-    return Status::InvalidArgument("repeats must be >= 1");
-  }
+Result<BenchDocument> RunStorageBench(const BenchOptions& options) {
+  ENSEMFDET_RETURN_NOT_OK(CheckOptions(options));
   ENSEMFDET_ASSIGN_OR_RETURN(
-      Dataset dataset, GenerateJdPreset(JdPreset::kDataset1,
-                                        options.graph.scale,
-                                        options.graph.seed));
+      Dataset dataset,
+      GenerateJdPreset(JdPreset::kDataset1, options.scale, options.seed));
   const CsrGraph& graph = dataset.graph;
   const uint64_t source_fingerprint = FingerprintGraph(graph);
 
@@ -347,10 +355,7 @@ Result<std::string> RunStorageBench(const StorageBenchOptions& options,
   // files were just written), which is the registry warm-start scenario
   // the snapshot format exists for; the TSV parse gets the same warmth.
   std::error_code ec;
-  std::filesystem::path dir =
-      options.scratch_dir.empty()
-          ? std::filesystem::temp_directory_path(ec)
-          : std::filesystem::path(options.scratch_dir);
+  const std::filesystem::path dir = std::filesystem::temp_directory_path(ec);
   if (ec) return Status::IOError("no temp directory: " + ec.message());
   const std::string tsv_path =
       (dir / "ensemfdet_bench_storage.tsv").string();
@@ -358,35 +363,30 @@ Result<std::string> RunStorageBench(const StorageBenchOptions& options,
       (dir / "ensemfdet_bench_storage.efg").string();
   ENSEMFDET_RETURN_NOT_OK(SaveEdgeListTsv(graph, tsv_path));
   ENSEMFDET_RETURN_NOT_OK(storage::WriteCsrGraphSnapshot(graph, efg_path));
-  const double tsv_bytes =
-      static_cast<double>(std::filesystem::file_size(tsv_path, ec));
-  const double efg_bytes =
-      static_cast<double>(std::filesystem::file_size(efg_path, ec));
+  const uint64_t tsv_bytes = std::filesystem::file_size(tsv_path, ec);
+  const uint64_t efg_bytes = std::filesystem::file_size(efg_path, ec);
 
-  // Untimed correctness gate: every reader must reproduce the writer's
+  // Untimed correctness gate: the reader must reproduce the writer's
   // fingerprint — a BENCH_storage.json is also a round-trip witness.
-  ENSEMFDET_ASSIGN_OR_RETURN(CsrGraph streamed,
-                             storage::LoadCsrGraphSnapshot(efg_path));
   ENSEMFDET_ASSIGN_OR_RETURN(storage::MappedCsrGraph mapped,
                              storage::MappedCsrGraph::Open(efg_path));
   ENSEMFDET_RETURN_NOT_OK(mapped.VerifyFingerprint());
   const bool fingerprints_match =
-      FingerprintGraph(streamed) == source_fingerprint &&
       mapped.fingerprint() == source_fingerprint &&
       FingerprintGraph(mapped.graph()) == source_fingerprint;
   if (!fingerprints_match) {
     return Status::Internal(
-        "snapshot readers did not reproduce the writer's content "
+        "snapshot reader did not reproduce the writer's content "
         "fingerprint — refusing to emit BENCH_storage.json");
   }
 
-  std::vector<Timing> timings;
+  BenchDocument doc;
+  doc.bench = "storage";
+  doc.graph = DatasetGraphFields(options, graph);
+  doc.config = {{"repeats", options.repeats}};
+  std::vector<Timing>& timings = doc.timings;
   timings.push_back(Measure("tsv_parse", options.repeats, [&] {
     CsrGraph g = LoadEdgeListTsv(tsv_path).ValueOrDie();
-    (void)g;
-  }));
-  timings.push_back(Measure("binary_read", options.repeats, [&] {
-    CsrGraph g = storage::LoadCsrGraphSnapshot(efg_path).ValueOrDie();
     (void)g;
   }));
   timings.push_back(Measure("mmap_open", options.repeats, [&] {
@@ -403,51 +403,24 @@ Result<std::string> RunStorageBench(const StorageBenchOptions& options,
   std::filesystem::remove(tsv_path, ec);
   std::filesystem::remove(efg_path, ec);
 
-  const double binary_speedup =
-      timings[0].seconds_min / timings[1].seconds_min;
-  const double mmap_open_speedup =
-      timings[0].seconds_min / timings[2].seconds_min;
-  const double mmap_verified_speedup =
-      timings[0].seconds_min / timings[3].seconds_min;
-
-  if (summary != nullptr) {
-    summary->mmap_verified_speedup_vs_tsv = mmap_verified_speedup;
-    summary->binary_read_speedup_vs_tsv = binary_speedup;
-    summary->tsv_bytes = tsv_bytes;
-    summary->efg_bytes = efg_bytes;
-  }
-
-  std::string out;
-  out.append("{\n");
-  out.append("  \"schema_version\": 1,\n");
-  out.append("  \"bench\": \"storage\",\n");
-  AppendGraphJson(&out, options.graph, graph);
-  AppendF(&out, "  \"config\": {\"repeats\": %d},\n", options.repeats);
-  AppendTimingsJson(&out, timings);
-  AppendF(&out,
-          "  \"file\": {\"tsv_bytes\": %.0f, \"efg_bytes\": %.0f},\n",
-          tsv_bytes, efg_bytes);
-  AppendF(&out,
-          "  \"speedup\": {\"mmap_verified_vs_tsv_parse\": %.4g, "
-          "\"mmap_open_vs_tsv_parse\": %.4g, "
-          "\"binary_read_vs_tsv_parse\": %.4g},\n",
-          mmap_verified_speedup, mmap_open_speedup, binary_speedup);
-  AppendF(&out,
-          "  \"parity\": {\"fingerprints_match\": %s}\n",
-          fingerprints_match ? "true" : "false");
-  out.append("}\n");
-  return out;
+  doc.sections = {
+      {"file", {{"tsv_bytes", tsv_bytes}, {"efg_bytes", efg_bytes}}},
+      {"speedup",
+       {{"mmap_verified_vs_tsv_parse",
+         timings[0].seconds_min / timings[2].seconds_min},
+        {"mmap_open_vs_tsv_parse",
+         timings[0].seconds_min / timings[1].seconds_min}}},
+      {"parity", {{"fingerprints_match", fingerprints_match}}},
+  };
+  return doc;
 }
 
-Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
-                                     EnsembleBenchSummary* summary) {
-  if (options.repeats < 1) {
-    return Status::InvalidArgument("repeats must be >= 1");
-  }
+Result<BenchDocument> RunEnsembleBench(const BenchOptions& options) {
+  ENSEMFDET_RETURN_NOT_OK(CheckOptions(options));
+  const int repeats = HalfRepeats(options);
   ENSEMFDET_ASSIGN_OR_RETURN(
-      Dataset dataset, GenerateJdPreset(JdPreset::kDataset1,
-                                        options.graph.scale,
-                                        options.graph.seed));
+      Dataset dataset,
+      GenerateJdPreset(JdPreset::kDataset1, options.scale, options.seed));
   // The hot path runs over the shared graph — matching how the service
   // serves jobs; only the reference path pays per-member materialization.
   const CsrGraph& graph = dataset.graph;
@@ -455,7 +428,7 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
   EnsemFDetConfig config;
   config.num_samples = options.num_samples;
   config.ratio = options.ratio;
-  config.seed = options.graph.seed;
+  config.seed = options.seed;
 
   ThreadPool* pool = &DefaultThreadPool();
   std::optional<ThreadPool> owned;
@@ -486,30 +459,8 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
   ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport hot, detector.Run(graph, pool));
   ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport reference,
                              detector.RunReference(graph, pool));
-  bool votes_identical =
-      hot.votes.all_user_votes().size() ==
-          reference.votes.all_user_votes().size() &&
-      hot.votes.all_merchant_votes().size() ==
-          reference.votes.all_merchant_votes().size() &&
-      std::equal(hot.votes.all_user_votes().begin(),
-                 hot.votes.all_user_votes().end(),
-                 reference.votes.all_user_votes().begin()) &&
-      std::equal(hot.votes.all_merchant_votes().begin(),
-                 hot.votes.all_merchant_votes().end(),
-                 reference.votes.all_merchant_votes().begin());
-  bool weighted_identical =
-      hot.weighted_user_votes == reference.weighted_user_votes &&
-      hot.weighted_merchant_votes == reference.weighted_merchant_votes;
-  bool members_identical = hot.members.size() == reference.members.size();
-  for (size_t i = 0; members_identical && i < hot.members.size(); ++i) {
-    members_identical =
-        hot.members[i].sample_users == reference.members[i].sample_users &&
-        hot.members[i].sample_merchants ==
-            reference.members[i].sample_merchants &&
-        hot.members[i].sample_edges == reference.members[i].sample_edges &&
-        hot.members[i].num_blocks == reference.members[i].num_blocks;
-  }
-  if (!votes_identical || !weighted_identical || !members_identical) {
+  const ReportParity parity = CompareReports(hot, reference);
+  if (!parity.all()) {
     return Status::Internal(
         "zero-materialization ensemble diverged from the materializing "
         "reference on the bench graph — refusing to emit "
@@ -534,7 +485,8 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
     if (!forced.ok()) continue;
     ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport leveled,
                                detector.Run(graph, pool));
-    isa_vote_identity = isa_vote_identity && SameEnsembleReports(leveled, hot);
+    isa_vote_identity =
+        isa_vote_identity && CompareReports(leveled, hot).all();
   }
   if (!isa_vote_identity) {
     return Status::Internal(
@@ -547,7 +499,7 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
         EnsemFDetReport at_width,
         detector.Run(graph, scaling_pools[w].get()));
     width_vote_identity =
-        width_vote_identity && SameEnsembleReports(at_width, hot);
+        width_vote_identity && CompareReports(at_width, hot).all();
   }
   if (!width_vote_identity) {
     return Status::Internal(
@@ -558,29 +510,50 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
   // thread-local arenas have now been touched once, so the timed rows
   // measure steady-state reuse, not first-touch growth.
 
-  std::vector<Timing> timings;
-  timings.push_back(Measure("ensemble_run", options.repeats, [&] {
+  BenchDocument doc;
+  doc.bench = "ensemble";
+  doc.schema_version = 3;
+  doc.graph = DatasetGraphFields(options, graph);
+  doc.config = {{"repeats", repeats},
+                {"num_samples", options.num_samples},
+                {"ratio", options.ratio},
+                {"threads", pool->num_threads()},
+                {"hardware_threads", hardware_threads}};
+  const Timing hot_timing = Measure("ensemble_run", repeats, [&] {
     EnsemFDetReport r = detector.Run(graph, pool).ValueOrDie();
     (void)r;
-  }));
+  });
+  doc.timings.push_back(hot_timing);
   // One timed arm per scaling width (width 1 = the serial loop, exactly
-  // like a null pool in production).
-  std::vector<Timing> scaling_timings;
+  // like a null pool in production). The wide arm is looked up by width,
+  // NOT as the widest timed row: on a machine with fewer than 4 cores the
+  // 2- and 4-wide rows measure oversubscription, and the honest wide arm
+  // is the hardware-thread row (possibly width 1).
+  std::vector<BenchFields> scaling_rows;
+  double seconds_1thread = 0.0;
+  double seconds_wide = 0.0;
   for (size_t w = 0; w < scaling_widths.size(); ++w) {
     ThreadPool* width_pool = scaling_pools[w].get();
-    scaling_timings.push_back(Measure(
+    const Timing t = Measure(
         "ensemble_run_threads_" + std::to_string(scaling_widths[w]),
-        options.repeats, [&] {
+        repeats, [&] {
           EnsemFDetReport r = detector.Run(graph, width_pool).ValueOrDie();
           (void)r;
-        }));
+        });
+    doc.timings.push_back(t);
+    scaling_rows.push_back(
+        {{"threads", scaling_widths[w]},
+         {"members_per_second", options.num_samples / t.seconds_min},
+         {"seconds_min", t.seconds_min}});
+    if (w == 0) seconds_1thread = t.seconds_min;
+    if (scaling_widths[w] == wide_threads) seconds_wide = t.seconds_min;
   }
-  timings.insert(timings.end(), scaling_timings.begin(),
-                 scaling_timings.end());
-  timings.push_back(Measure("ensemble_run_reference", options.repeats, [&] {
-    EnsemFDetReport r = detector.RunReference(graph, pool).ValueOrDie();
-    (void)r;
-  }));
+  const Timing reference_timing =
+      Measure("ensemble_run_reference", repeats, [&] {
+        EnsemFDetReport r = detector.RunReference(graph, pool).ValueOrDie();
+        (void)r;
+      });
+  doc.timings.push_back(reference_timing);
 
   // Arena-reuse stats from one more (untimed) fully warm run.
   ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport stats_run,
@@ -589,125 +562,53 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
   for (const auto& m : stats_run.members) {
     arena_grow_events += m.arena_grow_events;
   }
-  const double arena_grow_per_member =
-      options.num_samples > 0
-          ? static_cast<double>(arena_grow_events) / options.num_samples
-          : 0.0;
-
-  const Timing& reference_timing = timings.back();
-  const double members_per_second =
-      options.num_samples / timings[0].seconds_min;
-  const double members_per_second_reference =
-      options.num_samples / reference_timing.seconds_min;
-  const double zero_mat_speedup =
-      reference_timing.seconds_min / timings[0].seconds_min;
-  // 1-thread vs the resolved wide arm — looked up by width, NOT the
-  // widest timed row: on a machine with fewer than 4 cores the 2- and
-  // 4-wide rows measure oversubscription, and the honest wide arm is the
-  // hardware-thread row (possibly width 1).
-  size_t wide_idx = 0;
-  for (size_t w = 0; w < scaling_widths.size(); ++w) {
-    if (scaling_widths[w] == wide_threads) wide_idx = w;
-  }
-  const double parallel_speedup = scaling_timings.front().seconds_min /
-                                  scaling_timings[wide_idx].seconds_min;
 
   // Per-ISA kernel micro rows: each dispatchable kernel timed at every
   // level this build+CPU can run, on a synthetic slot-aligned view.
-  const std::vector<KernelRow> kernel_rows =
-      MeasureKernelRows(std::max(options.repeats, 3));
-
-  if (summary != nullptr) {
-    summary->zero_materialization_speedup = zero_mat_speedup;
-    summary->members_per_second = members_per_second;
-    summary->parallel_speedup = parallel_speedup;
-    summary->parallel_wide_threads = wide_threads;
-    summary->arena_grow_events = arena_grow_events;
-    summary->arena_grow_per_member = arena_grow_per_member;
-  }
-
-  std::string out;
-  out.append("{\n");
-  out.append("  \"schema_version\": 3,\n");
-  out.append("  \"bench\": \"ensemble\",\n");
-  AppendGraphJson(&out, options.graph, graph);
-  AppendF(&out,
-          "  \"config\": {\"repeats\": %d, \"num_samples\": %d, "
-          "\"ratio\": %.4g, \"threads\": %d, \"hardware_threads\": %d},\n",
-          options.repeats, options.num_samples, options.ratio,
-          pool->num_threads(), hardware_threads);
-  AppendF(&out,
-          "  \"dispatch\": {\"cpu\": \"%s\", \"detected\": \"%s\", "
-          "\"active\": \"%s\", \"forced_by_env\": %s},\n",
-          simd::IsaLevelName(simd::CpuIsaLevel()),
-          simd::IsaLevelName(simd::DetectedIsaLevel()),
-          simd::IsaLevelName(simd::ActiveIsaLevel()),
-          simd::IsaForcedByEnv() ? "true" : "false");
-  AppendTimingsJson(&out, timings);
-  out.append("  \"kernels\": [\n");
-  for (size_t i = 0; i < kernel_rows.size(); ++i) {
-    AppendF(&out,
-            "    {\"kernel\": \"%s\", \"isa\": \"%s\", "
-            "\"ns_per_element\": %.6g}%s\n",
-            kernel_rows[i].kernel, kernel_rows[i].isa,
-            kernel_rows[i].ns_per_element,
-            i + 1 < kernel_rows.size() ? "," : "");
-  }
-  out.append("  ],\n");
-  out.append("  \"scaling\": [\n");
-  for (size_t w = 0; w < scaling_widths.size(); ++w) {
-    AppendF(&out,
-            "    {\"threads\": %d, \"members_per_second\": %.6g, "
-            "\"seconds_min\": %.9g}%s\n",
-            scaling_widths[w],
-            options.num_samples / scaling_timings[w].seconds_min,
-            scaling_timings[w].seconds_min,
-            w + 1 < scaling_widths.size() ? "," : "");
-  }
-  out.append("  ],\n");
-  AppendF(&out,
-          "  \"throughput\": {\"members_per_second\": %.6g, "
-          "\"members_per_second_reference\": %.6g},\n",
-          members_per_second, members_per_second_reference);
-  AppendF(&out,
-          "  \"speedup\": {\"zero_materialization_vs_reference\": %.4g, "
-          "\"parallel_1thread_vs_wide\": %.4g, "
-          "\"parallel_wide_threads\": %d},\n",
-          zero_mat_speedup, parallel_speedup, wide_threads);
-  AppendF(&out,
-          "  \"arena\": {\"grow_events\": %lld, "
-          "\"grow_events_per_member\": %.4g},\n",
-          static_cast<long long>(arena_grow_events), arena_grow_per_member);
-  AppendF(&out,
-          "  \"parity\": {\"votes_identical\": %s, "
-          "\"weighted_votes_identical\": %s, "
-          "\"member_stats_identical\": %s, "
-          "\"vote_identity_across_isa_levels\": %s, "
-          "\"vote_identity_across_pool_widths\": %s}\n",
-          votes_identical ? "true" : "false",
-          weighted_identical ? "true" : "false",
-          members_identical ? "true" : "false",
-          isa_vote_identity ? "true" : "false",
-          width_vote_identity ? "true" : "false");
-  out.append("}\n");
-  return out;
+  doc.rows = {{"kernels", MeasureKernelRows(std::max(repeats, 3))},
+              {"scaling", std::move(scaling_rows)}};
+  doc.sections = {
+      {"dispatch",
+       {{"cpu", std::string(simd::IsaLevelName(simd::CpuIsaLevel()))},
+        {"detected", std::string(simd::IsaLevelName(simd::DetectedIsaLevel()))},
+        {"active", std::string(simd::IsaLevelName(simd::ActiveIsaLevel()))},
+        {"forced_by_env", simd::IsaForcedByEnv()}}},
+      {"throughput",
+       {{"members_per_second", options.num_samples / hot_timing.seconds_min},
+        {"members_per_second_reference",
+         options.num_samples / reference_timing.seconds_min}}},
+      {"speedup",
+       {{"zero_materialization_vs_reference",
+         reference_timing.seconds_min / hot_timing.seconds_min},
+        {"parallel_1thread_vs_wide", seconds_1thread / seconds_wide},
+        {"parallel_wide_threads", wide_threads}}},
+      {"arena",
+       {{"grow_events", arena_grow_events},
+        {"grow_events_per_member",
+         options.num_samples > 0
+             ? static_cast<double>(arena_grow_events) / options.num_samples
+             : 0.0}}},
+      {"parity",
+       {{"votes_identical", parity.votes},
+        {"weighted_votes_identical", parity.weighted},
+        {"member_stats_identical", parity.members},
+        {"vote_identity_across_isa_levels", isa_vote_identity},
+        {"vote_identity_across_pool_widths", width_vote_identity}}},
+  };
+  return doc;
 }
 
-Result<std::string> RunObsBench(const ObsBenchOptions& options,
-                                ObsBenchSummary* summary) {
-  if (options.repeats < 1) {
-    return Status::InvalidArgument("repeats must be >= 1");
-  }
+Result<BenchDocument> RunObsBench(const BenchOptions& options) {
+  ENSEMFDET_RETURN_NOT_OK(CheckOptions(options));
   ENSEMFDET_ASSIGN_OR_RETURN(
-      Dataset dataset, GenerateJdPreset(JdPreset::kDataset1,
-                                        options.graph.scale,
-                                        options.graph.seed));
+      Dataset dataset,
+      GenerateJdPreset(JdPreset::kDataset1, options.scale, options.seed));
   const CsrGraph& graph = dataset.graph;
 
   EnsemFDetConfig config;
   config.num_samples = options.num_samples;
   config.ratio = options.ratio;
-  config.seed = options.graph.seed;
+  config.seed = options.seed;
   EnsemFDet detector(config);
 
   // Everything below toggles the process-wide runtime switch; restore the
@@ -743,7 +644,7 @@ Result<std::string> RunObsBench(const ObsBenchOptions& options,
   obs::SetMetricsRuntimeEnabled(false);
   ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport report_off,
                              detector.Run(graph, nullptr));
-  const bool reports_identical = SameEnsembleReports(report_on, report_off);
+  const bool reports_identical = CompareReports(report_on, report_off).all();
   if (!reports_identical) {
     return Status::Internal(
         "ensemble report changed between metrics-enabled and "
@@ -767,7 +668,8 @@ Result<std::string> RunObsBench(const ObsBenchOptions& options,
   // of the per-arm minima — which also requires an EVEN repeat count, so
   // an odd request is rounded up rather than leaving one arm with an
   // extra turn in the fast slot.
-  const int repeats = options.repeats + (options.repeats % 2);
+  const int min_repeats = std::max(options.repeats, kObsMinRepeats);
+  const int repeats = min_repeats + (min_repeats % 2);
   Timing on_timing, off_timing;
   on_timing.name = "ensemble_run_metrics_on";
   off_timing.name = "ensemble_run_metrics_off";
@@ -796,7 +698,15 @@ Result<std::string> RunObsBench(const ObsBenchOptions& options,
   obs::SetMetricsRuntimeEnabled(true);
   on_timing.seconds_mean = on_total / repeats;
   off_timing.seconds_mean = off_total / repeats;
-  std::vector<Timing> timings;
+  BenchDocument doc;
+  doc.bench = "obs";
+  doc.graph = DatasetGraphFields(options, graph);
+  doc.config = {{"repeats", repeats},
+                {"num_samples", options.num_samples},
+                {"ratio", options.ratio},
+                {"metrics_compiled_in", obs::kMetricsCompiledIn},
+                {"flight_recorder_installed", flight_installed}};
+  std::vector<Timing>& timings = doc.timings;
   timings.push_back(on_timing);
   timings.push_back(off_timing);
 
@@ -828,48 +738,20 @@ Result<std::string> RunObsBench(const ObsBenchOptions& options,
   const double seconds_off = timings[1].seconds_min;
   const double overhead_fraction =
       seconds_off > 0 ? (seconds_on - seconds_off) / seconds_off : 0.0;
-  const double budget = 0.02;
-  const bool within_budget = overhead_fraction <= budget;
-  const double counter_ns =
-      timings[2].seconds_min / static_cast<double>(kOps) * 1e9;
-  const double histogram_ns =
-      timings[3].seconds_min / static_cast<double>(kOps) * 1e9;
-  const double span_ns =
-      timings[4].seconds_min / static_cast<double>(kOps) * 1e9;
-
-  if (summary != nullptr) {
-    summary->overhead_fraction = overhead_fraction;
-    summary->seconds_metrics_on = seconds_on;
-    summary->seconds_metrics_off = seconds_off;
-    summary->counter_ns_per_increment = counter_ns;
-    summary->histogram_ns_per_record = histogram_ns;
-    summary->span_ns_per_record = span_ns;
-  }
-
-  std::string out;
-  out.append("{\n");
-  out.append("  \"schema_version\": 1,\n");
-  out.append("  \"bench\": \"obs\",\n");
-  AppendGraphJson(&out, options.graph, dataset.graph);
-  AppendF(&out,
-          "  \"config\": {\"repeats\": %d, \"num_samples\": %d, "
-          "\"ratio\": %.4g, \"metrics_compiled_in\": %s, "
-          "\"flight_recorder_installed\": %s},\n",
-          repeats, options.num_samples, options.ratio,
-          obs::kMetricsCompiledIn ? "true" : "false",
-          flight_installed ? "true" : "false");
-  AppendTimingsJson(&out, timings);
-  AppendF(&out,
-          "  \"overhead\": {\"fraction\": %.6g, \"budget_fraction\": %.4g, "
-          "\"within_budget\": %s, \"counter_ns_per_increment\": %.4g, "
-          "\"histogram_ns_per_record\": %.4g, "
-          "\"span_ns_per_record\": %.4g},\n",
-          overhead_fraction, budget, within_budget ? "true" : "false",
-          counter_ns, histogram_ns, span_ns);
-  AppendF(&out, "  \"parity\": {\"reports_identical\": %s}\n",
-          reports_identical ? "true" : "false");
-  out.append("}\n");
-  return out;
+  const auto ns_per_op = [&](const Timing& t) {
+    return t.seconds_min / static_cast<double>(kOps) * 1e9;
+  };
+  doc.sections = {
+      {"overhead",
+       {{"fraction", overhead_fraction},
+        {"budget_fraction", kObsBudgetFraction},
+        {"within_budget", overhead_fraction <= kObsBudgetFraction},
+        {"counter_ns_per_increment", ns_per_op(timings[2])},
+        {"histogram_ns_per_record", ns_per_op(timings[3])},
+        {"span_ns_per_record", ns_per_op(timings[4])}}},
+      {"parity", {{"reports_identical", reports_identical}}},
+  };
+  return doc;
 }
 
 namespace {
@@ -883,18 +765,17 @@ struct StreamWorkload {
   DynamicGraphStoreConfig store_config;
   StreamingDetectorConfig detector_config;
   std::vector<IngestBatch> batches;
-  int64_t detection_interval = 0;
   int64_t num_events = 0;
 };
 
-Result<StreamWorkload> BuildStreamWorkload(const StreamBenchOptions& o) {
+Result<StreamWorkload> BuildStreamWorkload(uint64_t seed) {
   DataGenConfig config;
-  config.num_users = o.num_users;
-  config.num_merchants = o.num_merchants;
-  config.num_edges = o.num_edges;
+  config.num_users = kStreamUsers;
+  config.num_merchants = kStreamMerchants;
+  config.num_edges = kStreamEdges;
   config.user_zipf_exponent = 0.0;
   config.merchant_zipf_exponent = 0.0;
-  for (int g = 0; g < o.num_fraud_groups; ++g) {
+  for (int g = 0; g < kStreamFraudGroups; ++g) {
     FraudGroupSpec group;
     group.num_users = 18;
     group.num_merchants = 8;
@@ -902,30 +783,29 @@ Result<StreamWorkload> BuildStreamWorkload(const StreamBenchOptions& o) {
     group.camouflage_per_user = 0.0;
     config.fraud_groups.push_back(group);
   }
-  config.seed = o.seed;
+  config.seed = seed;
   ENSEMFDET_ASSIGN_OR_RETURN(Dataset dataset, GenerateDataset(config));
 
   StreamTimelineConfig timeline;
-  timeline.horizon = o.horizon;
-  timeline.burst_duration = o.burst_duration;
-  timeline.seed = o.seed + 1;
+  timeline.horizon = kStreamHorizon;
+  timeline.burst_duration = kStreamBurstDuration;
+  timeline.seed = seed + 1;
   ENSEMFDET_ASSIGN_OR_RETURN(std::vector<Transaction> events,
                              BuildTransactionStream(dataset, timeline));
 
   StreamWorkload workload;
   workload.num_events = static_cast<int64_t>(events.size());
   ENSEMFDET_ASSIGN_OR_RETURN(workload.batches,
-                             SliceIntoBatches(events, o.batch_events));
-  workload.store_config.num_users = o.num_users;
-  workload.store_config.num_merchants = o.num_merchants;
-  workload.store_config.window = o.window;
-  workload.detector_config.ensemble.num_samples = o.num_samples;
-  workload.detector_config.ensemble.ratio = o.ratio;
-  workload.detector_config.ensemble.seed = o.seed;
+                             SliceIntoBatches(events, kStreamBatchEvents));
+  workload.store_config.num_users = kStreamUsers;
+  workload.store_config.num_merchants = kStreamMerchants;
+  workload.store_config.window = kStreamWindow;
+  workload.detector_config.ensemble.num_samples = kStreamSamples;
+  workload.detector_config.ensemble.ratio = kStreamRatio;
+  workload.detector_config.ensemble.seed = seed;
   // The window holds thousands of components; never let LRU churn mask
   // reuse in the measurement.
   workload.detector_config.component_cache_capacity = 1u << 16;
-  workload.detection_interval = o.detection_interval;
   return workload;
 }
 
@@ -963,7 +843,7 @@ Result<ReplayOutcome> ReplayStream(const StreamWorkload& workload,
       last_detection = now;
       continue;
     }
-    if (now - last_detection < workload.detection_interval) continue;
+    if (now - last_detection < kStreamDetectionInterval) continue;
     last_detection = now;
     const GraphVersion version = store.Publish();
     if (!incremental) warm.ResetCache();
@@ -979,49 +859,13 @@ Result<ReplayOutcome> ReplayStream(const StreamWorkload& workload,
   return outcome;
 }
 
-// Structural equality of two streaming reports (votes, weighted votes,
-// member stats minus wall-clock/arena counters).
-void CompareStreamReports(const StreamingReport& a, const StreamingReport& b,
-                          bool* votes, bool* weighted, bool* members) {
-  const EnsemFDetReport& ra = a.report;
-  const EnsemFDetReport& rb = b.report;
-  if (ra.votes.all_user_votes().size() != rb.votes.all_user_votes().size() ||
-      !std::equal(ra.votes.all_user_votes().begin(),
-                  ra.votes.all_user_votes().end(),
-                  rb.votes.all_user_votes().begin()) ||
-      !std::equal(ra.votes.all_merchant_votes().begin(),
-                  ra.votes.all_merchant_votes().end(),
-                  rb.votes.all_merchant_votes().begin())) {
-    *votes = false;
-  }
-  if (ra.weighted_user_votes != rb.weighted_user_votes ||
-      ra.weighted_merchant_votes != rb.weighted_merchant_votes) {
-    *weighted = false;
-  }
-  if (ra.members.size() != rb.members.size()) {
-    *members = false;
-    return;
-  }
-  for (size_t i = 0; i < ra.members.size(); ++i) {
-    if (ra.members[i].sample_users != rb.members[i].sample_users ||
-        ra.members[i].sample_merchants != rb.members[i].sample_merchants ||
-        ra.members[i].sample_edges != rb.members[i].sample_edges ||
-        ra.members[i].num_blocks != rb.members[i].num_blocks) {
-      *members = false;
-      return;
-    }
-  }
-}
-
 }  // namespace
 
-Result<std::string> RunStreamBench(const StreamBenchOptions& options,
-                                   StreamBenchSummary* summary) {
-  if (options.repeats < 1) {
-    return Status::InvalidArgument("repeats must be >= 1");
-  }
+Result<BenchDocument> RunStreamBench(const BenchOptions& options) {
+  ENSEMFDET_RETURN_NOT_OK(CheckOptions(options));
+  const int repeats = HalfRepeats(options);
   ENSEMFDET_ASSIGN_OR_RETURN(StreamWorkload workload,
-                             BuildStreamWorkload(options));
+                             BuildStreamWorkload(options.seed));
 
   // Untimed parity gate: at *every* detection boundary the dirty-scoped
   // incremental report must equal the full rerun bit for bit — a
@@ -1034,19 +878,15 @@ Result<std::string> RunStreamBench(const StreamBenchOptions& options,
   ENSEMFDET_ASSIGN_OR_RETURN(
       ReplayOutcome full_outcome,
       ReplayStream(workload, /*incremental=*/false, &full_reports));
-  bool votes_identical = incremental_reports.size() == full_reports.size();
-  bool weighted_identical = votes_identical;
-  bool members_identical = votes_identical;
-  for (size_t i = 0; votes_identical && i < incremental_reports.size();
-       ++i) {
-    CompareStreamReports(incremental_reports[i], full_reports[i],
-                         &votes_identical, &weighted_identical,
-                         &members_identical);
-    if (incremental_reports[i].fingerprint != full_reports[i].fingerprint) {
-      votes_identical = false;
-    }
+  ReportParity parity;
+  parity.votes = incremental_reports.size() == full_reports.size();
+  for (size_t i = 0; parity.all() && i < incremental_reports.size(); ++i) {
+    parity = CompareReports(incremental_reports[i].report,
+                            full_reports[i].report);
+    parity.votes = parity.votes && incremental_reports[i].fingerprint ==
+                                       full_reports[i].fingerprint;
   }
-  if (!votes_identical || !weighted_identical || !members_identical) {
+  if (!parity.all()) {
     return Status::Internal(
         "dirty-scoped incremental detection diverged from the full-window "
         "rerun on the bench stream — refusing to emit BENCH_stream.json");
@@ -1059,113 +899,72 @@ Result<std::string> RunStreamBench(const StreamBenchOptions& options,
   incremental_reports.clear();
   full_reports.clear();
 
-  std::vector<Timing> timings;
-  timings.push_back(Measure("incremental_replay", options.repeats, [&] {
+  BenchDocument doc;
+  doc.bench = "stream";
+  doc.graph = GraphFields("fragmented_stream", 1.0, options.seed,
+                          kStreamUsers, kStreamMerchants, kStreamEdges);
+  doc.config = {{"repeats", repeats},
+                {"num_samples", kStreamSamples},
+                {"ratio", kStreamRatio},
+                {"horizon", kStreamHorizon},
+                {"burst_duration", kStreamBurstDuration},
+                {"window", kStreamWindow},
+                {"detection_interval", kStreamDetectionInterval},
+                {"batch_events", kStreamBatchEvents},
+                {"fraud_groups", kStreamFraudGroups}};
+  std::vector<Timing>& timings = doc.timings;
+  timings.push_back(Measure("incremental_replay", repeats, [&] {
     ReplayOutcome r =
         ReplayStream(workload, /*incremental=*/true, nullptr).ValueOrDie();
     (void)r;
   }));
-  timings.push_back(Measure("full_rebuild_replay", options.repeats, [&] {
+  timings.push_back(Measure("full_rebuild_replay", repeats, [&] {
     ReplayOutcome r =
         ReplayStream(workload, /*incremental=*/false, nullptr).ValueOrDie();
     (void)r;
   }));
 
-  const double events_per_second_incremental =
-      static_cast<double>(workload.num_events) / timings[0].seconds_min;
-  const double events_per_second_full =
-      static_cast<double>(workload.num_events) / timings[1].seconds_min;
-  const double speedup = timings[1].seconds_min / timings[0].seconds_min;
+  const double events = static_cast<double>(workload.num_events);
   const int64_t resolved = incremental_outcome.components_reused +
                            incremental_outcome.components_recomputed;
-  const double reuse_fraction =
-      resolved > 0 ? static_cast<double>(
-                         incremental_outcome.components_reused) /
-                         static_cast<double>(resolved)
-                   : 0.0;
-  const double edge_recompute_fraction =
-      incremental_outcome.edges_total > 0
-          ? static_cast<double>(incremental_outcome.edges_recomputed) /
-                static_cast<double>(incremental_outcome.edges_total)
-          : 0.0;
-
-  if (summary != nullptr) {
-    summary->events_per_second_incremental = events_per_second_incremental;
-    summary->events_per_second_full_rebuild = events_per_second_full;
-    summary->incremental_speedup = speedup;
-    summary->detections = incremental_outcome.detections;
-    summary->component_reuse_fraction = reuse_fraction;
-    summary->edge_recompute_fraction = edge_recompute_fraction;
-  }
-
-  std::string out;
-  out.append("{\n");
-  out.append("  \"schema_version\": 1,\n");
-  out.append("  \"bench\": \"stream\",\n");
-  AppendF(&out,
-          "  \"graph\": {\"preset\": \"fragmented_stream\", \"scale\": 1, "
-          "\"seed\": %llu, \"users\": %lld, \"merchants\": %lld, "
-          "\"edges\": %lld},\n",
-          static_cast<unsigned long long>(options.seed),
-          static_cast<long long>(options.num_users),
-          static_cast<long long>(options.num_merchants),
-          static_cast<long long>(options.num_edges));
-  AppendF(&out,
-          "  \"config\": {\"repeats\": %d, \"num_samples\": %d, "
-          "\"ratio\": %.4g, \"horizon\": %lld, \"burst_duration\": %lld, "
-          "\"window\": %lld, \"detection_interval\": %lld, "
-          "\"batch_events\": %lld, \"fraud_groups\": %d},\n",
-          options.repeats, options.num_samples, options.ratio,
-          static_cast<long long>(options.horizon),
-          static_cast<long long>(options.burst_duration),
-          static_cast<long long>(options.window),
-          static_cast<long long>(options.detection_interval),
-          static_cast<long long>(options.batch_events),
-          options.num_fraud_groups);
-  AppendTimingsJson(&out, timings);
-  AppendF(&out,
-          "  \"throughput\": {\"events_per_second_incremental\": %.6g, "
-          "\"events_per_second_full_rebuild\": %.6g},\n",
-          events_per_second_incremental, events_per_second_full);
-  AppendF(&out, "  \"speedup\": {\"incremental_vs_full_rebuild\": %.4g},\n",
-          speedup);
-  AppendF(&out,
-          "  \"stream\": {\"events\": %lld, \"detections\": %lld, "
-          "\"components_reused\": %lld, \"components_recomputed\": %lld, "
-          "\"component_reuse_fraction\": %.4g, "
-          "\"edge_recompute_fraction\": %.4g},\n",
-          static_cast<long long>(workload.num_events),
-          static_cast<long long>(incremental_outcome.detections),
-          static_cast<long long>(incremental_outcome.components_reused),
-          static_cast<long long>(incremental_outcome.components_recomputed),
-          reuse_fraction, edge_recompute_fraction);
-  AppendF(&out,
-          "  \"parity\": {\"votes_identical\": %s, "
-          "\"weighted_votes_identical\": %s, "
-          "\"member_stats_identical\": %s, \"boundaries_compared\": %lld}\n",
-          votes_identical ? "true" : "false",
-          weighted_identical ? "true" : "false",
-          members_identical ? "true" : "false",
-          static_cast<long long>(full_outcome.detections));
-  out.append("}\n");
-  return out;
+  doc.sections = {
+      {"throughput",
+       {{"events_per_second_incremental", events / timings[0].seconds_min},
+        {"events_per_second_full_rebuild",
+         events / timings[1].seconds_min}}},
+      {"speedup",
+       {{"incremental_vs_full_rebuild",
+         timings[1].seconds_min / timings[0].seconds_min}}},
+      {"stream",
+       {{"events", workload.num_events},
+        {"detections", incremental_outcome.detections},
+        {"components_reused", incremental_outcome.components_reused},
+        {"components_recomputed", incremental_outcome.components_recomputed},
+        {"component_reuse_fraction",
+         resolved > 0 ? static_cast<double>(
+                            incremental_outcome.components_reused) /
+                            static_cast<double>(resolved)
+                      : 0.0},
+        {"edge_recompute_fraction",
+         incremental_outcome.edges_total > 0
+             ? static_cast<double>(incremental_outcome.edges_recomputed) /
+                   static_cast<double>(incremental_outcome.edges_total)
+             : 0.0}}},
+      {"parity",
+       {{"votes_identical", parity.votes},
+        {"weighted_votes_identical", parity.weighted},
+        {"member_stats_identical", parity.members},
+        {"boundaries_compared", full_outcome.detections}}},
+  };
+  return doc;
 }
 
-Result<std::string> RunWalBench(const WalBenchOptions& options,
-                                WalBenchSummary* summary) {
-  if (options.repeats < 1) {
-    return Status::InvalidArgument("repeats must be >= 1");
-  }
-  if (options.num_batches < 1 || options.batch_events < 1) {
-    return Status::InvalidArgument(
-        "num_batches and batch_events must be >= 1");
-  }
-  if (options.group_commit_records < 1) {
-    return Status::InvalidArgument("group_commit_records must be >= 1");
-  }
+Result<BenchDocument> RunWalBench(const BenchOptions& options) {
+  ENSEMFDET_RETURN_NOT_OK(CheckOptions(options));
+  const int repeats = HalfRepeats(options);
 
   // Deterministic batch stream: non-decreasing timestamps over the
-  // configured universes. Encoded once up front so every policy pays the
+  // workload's universes. Encoded once up front so every policy pays the
   // same codec cost and the timings isolate framing + fsync.
   uint64_t rng = options.seed * 0x9E3779B97F4A7C15ull + 1;
   auto next = [&rng]() {
@@ -1174,8 +973,7 @@ Result<std::string> RunWalBench(const WalBenchOptions& options,
     rng ^= rng << 17;
     return rng;
   };
-  std::vector<IngestBatch> batches(
-      static_cast<size_t>(options.num_batches));
+  std::vector<IngestBatch> batches(static_cast<size_t>(kWalBatches));
   std::vector<std::vector<std::byte>> payloads;
   payloads.reserve(batches.size());
   std::vector<int64_t> record_timestamps;
@@ -1183,15 +981,15 @@ Result<std::string> RunWalBench(const WalBenchOptions& options,
   int64_t clock = 0;
   uint64_t payload_bytes = 0;
   for (IngestBatch& batch : batches) {
-    batch.transactions.reserve(static_cast<size_t>(options.batch_events));
-    for (int64_t i = 0; i < options.batch_events; ++i) {
+    batch.transactions.reserve(static_cast<size_t>(kWalBatchEvents));
+    for (int64_t i = 0; i < kWalBatchEvents; ++i) {
       clock += static_cast<int64_t>(next() % 3);
       Transaction tx;
       tx.timestamp = clock;
       tx.user = static_cast<int64_t>(
-          next() % static_cast<uint64_t>(options.num_users));
+          next() % static_cast<uint64_t>(kWalUsers));
       tx.merchant = static_cast<int64_t>(
-          next() % static_cast<uint64_t>(options.num_merchants));
+          next() % static_cast<uint64_t>(kWalMerchants));
       batch.transactions.push_back(tx);
     }
     payloads.push_back(ingest::EncodeIngestBatch(batch));
@@ -1201,9 +999,7 @@ Result<std::string> RunWalBench(const WalBenchOptions& options,
 
   namespace fs = std::filesystem;
   std::error_code ec;
-  const std::string scratch = options.scratch_dir.empty()
-                                  ? fs::temp_directory_path(ec).string()
-                                  : options.scratch_dir;
+  const std::string scratch = fs::temp_directory_path(ec).string();
   if (scratch.empty()) {
     return Status::IOError("cannot resolve a scratch directory");
   }
@@ -1216,8 +1012,8 @@ Result<std::string> RunWalBench(const WalBenchOptions& options,
     fs::remove_all(wal_dir, rm_ec);
     storage::WalWriterOptions wal_options;
     wal_options.fsync = policy;
-    wal_options.group_commit_records = options.group_commit_records;
-    wal_options.segment_bytes = options.segment_bytes;
+    wal_options.group_commit_records = kWalGroupCommitRecords;
+    wal_options.segment_bytes = kWalSegmentBytes;
     ENSEMFDET_ASSIGN_OR_RETURN(
         storage::WalWriter writer,
         storage::WalWriter::Open(wal_dir, wal_options));
@@ -1281,73 +1077,107 @@ Result<std::string> RunWalBench(const WalBenchOptions& options,
     Status st = write_log(policy);
     if (!st.ok() && bench_error.ok()) bench_error = st;
   };
-  std::vector<Timing> timings;
-  timings.push_back(Measure("append_fsync_none", options.repeats, [&] {
+  BenchDocument doc;
+  doc.bench = "wal";
+  const int64_t events = kWalBatches * kWalBatchEvents;
+  doc.graph = GraphFields("synthetic_batches", 1.0, options.seed, kWalUsers,
+                          kWalMerchants, events);
+  doc.config = {{"repeats", repeats},
+                {"num_batches", kWalBatches},
+                {"batch_events", kWalBatchEvents},
+                {"group_commit_records", kWalGroupCommitRecords},
+                {"segment_bytes", kWalSegmentBytes}};
+  std::vector<Timing>& timings = doc.timings;
+  timings.push_back(Measure("append_fsync_none", repeats, [&] {
     timed(storage::WalFsyncPolicy::kNone);
   }));
-  timings.push_back(Measure("append_fsync_batch", options.repeats, [&] {
+  timings.push_back(Measure("append_fsync_batch", repeats, [&] {
     timed(storage::WalFsyncPolicy::kBatch);
   }));
-  timings.push_back(Measure("append_fsync_always", options.repeats, [&] {
+  timings.push_back(Measure("append_fsync_always", repeats, [&] {
     timed(storage::WalFsyncPolicy::kAlways);
   }));
   fs::remove_all(wal_dir, ec);
   ENSEMFDET_RETURN_NOT_OK(bench_error);
 
-  const int64_t events = options.num_batches * options.batch_events;
-  const double eps_none =
-      static_cast<double>(events) / timings[0].seconds_min;
-  const double eps_batch =
-      static_cast<double>(events) / timings[1].seconds_min;
-  const double eps_always =
-      static_cast<double>(events) / timings[2].seconds_min;
+  const auto acked_per_second = [&](const Timing& t) {
+    return static_cast<double>(events) / t.seconds_min;
+  };
+  doc.sections = {
+      {"throughput",
+       {{"acked_events_per_second_none", acked_per_second(timings[0])},
+        {"acked_events_per_second_batch", acked_per_second(timings[1])},
+        {"acked_events_per_second_always", acked_per_second(timings[2])}}},
+      {"wal",
+       {{"records", kWalBatches},
+        {"payload_bytes", payload_bytes},
+        {"segments_created", segments_created}}},
+      {"parity",
+       {{"replay_identical", identical}, {"records_compared", replayed}}},
+  };
+  return doc;
+}
 
-  if (summary != nullptr) {
-    summary->acked_events_per_second_none = eps_none;
-    summary->acked_events_per_second_batch = eps_batch;
-    summary->acked_events_per_second_always = eps_always;
-    summary->replay_identical = identical;
+std::string ToJson(const BenchDocument& doc) {
+  const auto scalar = [](const BenchValue& value) -> std::string {
+    if (const auto* text = std::get_if<std::string>(&value)) {
+      return "\"" + *text + "\"";
+    }
+    if (const auto* flag = std::get_if<bool>(&value)) {
+      return *flag ? "true" : "false";
+    }
+    if (const auto* real = std::get_if<double>(&value)) {
+      if (!std::isfinite(*real)) return "null";
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.9g", *real);
+      return buf;
+    }
+    if (const auto* count = std::get_if<int64_t>(&value)) {
+      return std::to_string(*count);
+    }
+    return std::to_string(std::get<uint64_t>(value));
+  };
+  const auto object = [&](const BenchFields& fields) {
+    std::string out = "{";
+    for (size_t i = 0; i < fields.size(); ++i) {
+      out += (i > 0 ? ", \"" : "\"") + fields[i].first +
+             "\": " + scalar(fields[i].second);
+    }
+    return out + "}";
+  };
+  const auto array = [&](const std::vector<BenchFields>& rows) {
+    std::string out = "[";
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out += (i > 0 ? ",\n    " : "\n    ") + object(rows[i]);
+    }
+    return out + "\n  ]";
+  };
+
+  std::vector<BenchFields> timing_rows;
+  for (const Timing& t : doc.timings) {
+    timing_rows.push_back({{"name", t.name},
+                           {"seconds_min", t.seconds_min},
+                           {"seconds_mean", t.seconds_mean},
+                           {"repeats", t.repeats}});
   }
-
-  std::string out;
-  out.append("{\n");
-  out.append("  \"schema_version\": 1,\n");
-  out.append("  \"bench\": \"wal\",\n");
-  AppendF(&out,
-          "  \"graph\": {\"preset\": \"synthetic_batches\", \"scale\": 1, "
-          "\"seed\": %llu, \"users\": %lld, \"merchants\": %lld, "
-          "\"edges\": %lld},\n",
-          static_cast<unsigned long long>(options.seed),
-          static_cast<long long>(options.num_users),
-          static_cast<long long>(options.num_merchants),
-          static_cast<long long>(events));
-  AppendF(&out,
-          "  \"config\": {\"repeats\": %d, \"num_batches\": %lld, "
-          "\"batch_events\": %lld, \"group_commit_records\": %lld, "
-          "\"segment_bytes\": %llu},\n",
-          options.repeats, static_cast<long long>(options.num_batches),
-          static_cast<long long>(options.batch_events),
-          static_cast<long long>(options.group_commit_records),
-          static_cast<unsigned long long>(options.segment_bytes));
-  AppendTimingsJson(&out, timings);
-  AppendF(&out,
-          "  \"throughput\": {\"acked_events_per_second_none\": %.6g, "
-          "\"acked_events_per_second_batch\": %.6g, "
-          "\"acked_events_per_second_always\": %.6g},\n",
-          eps_none, eps_batch, eps_always);
-  AppendF(&out,
-          "  \"wal\": {\"records\": %lld, \"payload_bytes\": %llu, "
-          "\"segments_created\": %lld},\n",
-          static_cast<long long>(options.num_batches),
-          static_cast<unsigned long long>(payload_bytes),
-          static_cast<long long>(segments_created));
-  AppendF(&out,
-          "  \"parity\": {\"replay_identical\": %s, "
-          "\"records_compared\": %llu}\n",
-          identical ? "true" : "false",
-          static_cast<unsigned long long>(replayed));
-  out.append("}\n");
-  return out;
+  std::vector<std::pair<std::string, std::string>> members = {
+      {"schema_version", std::to_string(doc.schema_version)},
+      {"bench", scalar(doc.bench)},
+      {"graph", object(doc.graph)},
+      {"config", object(doc.config)},
+      {"timings", array(timing_rows)}};
+  for (const auto& [name, rows] : doc.rows) {
+    members.emplace_back(name, array(rows));
+  }
+  for (const auto& [name, fields] : doc.sections) {
+    members.emplace_back(name, object(fields));
+  }
+  std::string out = "{\n";
+  for (size_t i = 0; i < members.size(); ++i) {
+    out += "  \"" + members[i].first + "\": " + members[i].second +
+           (i + 1 < members.size() ? ",\n" : "\n");
+  }
+  return out + "}\n";
 }
 
 Status WriteTextFile(const std::string& path, const std::string& text) {

@@ -1,246 +1,134 @@
-// Perf-baseline harness: the single producer of the repo's BENCH_*.json
+// Perf-baseline harness: the measurements behind the repo's BENCH_*.json
 // files (schema documented in bench/README.md).
 //
-// Three front doors share this code so the numbers can never drift apart:
-//   * bench/bench_peeling.cc      — standalone peeling bench binary
-//   * bench/bench_ensemble.cc     — standalone ensemble bench binary
-//   * tools/ensemfdet_cli.cc      — the `bench-report` subcommand CI runs
+// `ensemfdet_cli bench-report` is the only front door: it runs every
+// Run*Bench below, and each returns one BenchDocument that ToJson — the
+// one BENCH JSON writer — turns into the file's text.
 //
-// Every measurement reports min/mean wall-clock over `repeats` runs
-// (min is the headline: least scheduler noise). The peeling bench also
-// *verifies* in-place-vs-seed peeler parity on the bench graph and fails
-// with Internal if results diverge — a malformed or lying
-// BENCH_peeling.json can't be produced.
+// Every measurement reports min/mean wall-clock over its repeats (min is
+// the headline: least scheduler noise). Every bench first verifies the
+// path it times against a referee (seed peeler, materializing ensemble,
+// full-rebuild replay, writer fingerprint, metrics-off run, decoded WAL)
+// and fails with Internal on any divergence, so a lying BENCH document
+// can't be produced.
 #ifndef ENSEMFDET_BENCH_PERF_HARNESS_H_
 #define ENSEMFDET_BENCH_PERF_HARNESS_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "common/status.h"
 
 namespace ensemfdet {
 namespace bench {
 
-/// Workload shared by both benches: a Table-I dataset1 preset graph.
-struct PerfGraphSpec {
+/// What `bench-report`'s flags set. Every other workload knob is a named
+/// constant of the harness, recorded in the document's `config` block.
+struct BenchOptions {
+  /// Scale and seed of the dataset1-preset graph; the stream and WAL
+  /// benches generate their own workloads from the seed.
   double scale = 0.02;
   uint64_t seed = 7;
-};
-
-struct PeelingBenchOptions {
-  PerfGraphSpec graph;
-  /// Timed repetitions per measurement (min/mean reported).
+  /// Timed repetitions of the peeling and storage benches; the ensemble,
+  /// stream and WAL benches run max(1, repeats / 2), the obs bench
+  /// max(repeats, 12) rounded up to even.
   int repeats = 5;
-  /// FDET block budget for the iterated-peeling measurements.
-  int max_blocks = 12;
-};
-
-struct EnsembleBenchOptions {
-  PerfGraphSpec graph;
-  int repeats = 3;
-  /// Ensemble size N and sampling ratio S.
+  /// Ensemble size N and sampling ratio S (ensemble and obs benches).
   int num_samples = 16;
   double ratio = 0.1;
-  /// Thread pool width for the parallel measurement (0 = hardware).
+  /// Pool width of the ensemble bench's headline run (0 = hardware).
   int threads = 0;
 };
 
-/// Headline numbers of the ensemble bench, duplicated out of the JSON so
-/// the CLI can print them without re-parsing the document.
-struct EnsembleBenchSummary {
-  /// members_per_second(zero-mat) ÷ members_per_second(materializing
-  /// reference) on the same preset/pool — the PR acceptance headline.
-  double zero_materialization_speedup = 0.0;
-  double members_per_second = 0.0;
-  /// seconds_min(1 thread) ÷ seconds_min(wide pool), where the wide pool
-  /// is clamped to the runner's hardware threads (parallel_wide_threads).
-  double parallel_speedup = 0.0;
-  /// Resolved width of the wide scaling arm (== hardware threads).
-  int parallel_wide_threads = 0;
-  /// Arena buffer growths summed over a full post-warm-up run (0 when the
-  /// per-worker arenas are reused perfectly), and the same per member.
-  int64_t arena_grow_events = 0;
-  double arena_grow_per_member = 0.0;
+/// One JSON scalar of a BENCH document.
+using BenchValue = std::variant<int64_t, uint64_t, double, bool, std::string>;
+/// A flat JSON object — a section, or one row of a row array — with its
+/// keys in output order.
+using BenchFields = std::vector<std::pair<std::string, BenchValue>>;
+
+/// One measurement: a row of the document's `timings` array.
+struct Timing {
+  std::string name;
+  double seconds_min = std::numeric_limits<double>::infinity();
+  double seconds_mean = 0.0;
+  int repeats = 0;
 };
 
-struct StreamBenchOptions {
-  uint64_t seed = 7;
-  /// Workload shape: a fragmented transaction day — sparse uniform
-  /// background over large universes (many small components) plus several
-  /// dense fraud bursts, streamed through a sliding window.
-  int64_t num_users = 6000;
-  int64_t num_merchants = 4000;
-  int64_t num_edges = 5000;
-  int num_fraud_groups = 6;
-  int64_t horizon = 86400;
-  int64_t burst_duration = 2400;
-  int64_t window = 21600;
-  int64_t detection_interval = 600;
-  int64_t batch_events = 128;
-  /// Ensemble size/ratio per detection.
-  int num_samples = 8;
-  double ratio = 0.25;
-  int repeats = 3;
+/// The content of one BENCH_<bench>.json file.
+struct BenchDocument {
+  std::string bench;  ///< "peeling", "ensemble", ...
+  int schema_version = 1;
+  BenchFields graph;   ///< the workload's shape
+  BenchFields config;  ///< the knobs and constants the run used
+  std::vector<Timing> timings;
+  /// Named row arrays ("kernels", "scaling"), in output order.
+  std::vector<std::pair<std::string, std::vector<BenchFields>>> rows;
+  /// Named flat sections ("speedup", "throughput", "parity", ...), in
+  /// output order.
+  std::vector<std::pair<std::string, BenchFields>> sections;
+
+  std::string file_name() const { return "BENCH_" + bench + ".json"; }
 };
 
-/// Headline numbers of the stream bench, duplicated out of the JSON.
-struct StreamBenchSummary {
-  double events_per_second_incremental = 0.0;
-  double events_per_second_full_rebuild = 0.0;
-  /// incremental ÷ full-rebuild events/sec — the PR acceptance headline.
-  double incremental_speedup = 0.0;
-  int64_t detections = 0;
-  /// components_reused ÷ (reused + recomputed) across the whole replay.
-  double component_reuse_fraction = 0.0;
-  /// edges_recomputed ÷ edges_total across the whole replay (the share of
-  /// ensemble work the dirty scoping could not skip).
-  double edge_recompute_fraction = 0.0;
-};
+/// The BENCH JSON writer: `schema_version`, `bench`, `graph`, `config`,
+/// `timings`, the row arrays, then the sections — one line per flat
+/// object, one line per array row. Non-finite numbers are written as null.
+std::string ToJson(const BenchDocument& doc);
 
-struct StorageBenchOptions {
-  PerfGraphSpec graph;
-  int repeats = 5;
-  /// Directory for the transient bench files (TSV + .efg); empty = the
-  /// system temp directory.
-  std::string scratch_dir;
-};
+/// Peeling bench (BENCH_peeling.json, schema 1): the seed peeler and
+/// materializing FDET — the `adjacency_*` rows — vs the in-place view
+/// peel and FDET — the `csr_*` rows; single peel + full FDET, all on the
+/// same graph. Fails with Internal if the in-place results are not
+/// identical to the seed's.
+Result<BenchDocument> RunPeelingBench(const BenchOptions& options);
 
-/// Headline numbers of the storage bench, duplicated out of the JSON.
-struct StorageBenchSummary {
-  /// tsv_parse ÷ mmap_open_verified seconds — the PR acceptance headline
-  /// (snapshot loading must beat TSV parsing even when it re-hashes the
-  /// whole payload).
-  double mmap_verified_speedup_vs_tsv = 0.0;
-  /// tsv_parse ÷ binary_read (the streaming, owning-copy reader).
-  double binary_read_speedup_vs_tsv = 0.0;
-  double tsv_bytes = 0.0;
-  double efg_bytes = 0.0;
-};
+/// Storage bench (BENCH_storage.json, schema 1): the same graph loaded by
+/// TSV parse and by mmap zero-copy open (without and with fingerprint
+/// verification), plus file sizes and speedups. Before anything is timed
+/// it writes the snapshot and verifies that the mapped reader reproduces
+/// the writer's content fingerprint, failing with Internal otherwise.
+Result<BenchDocument> RunStorageBench(const BenchOptions& options);
 
-struct WalBenchOptions {
-  uint64_t seed = 7;
-  /// Workload shape: a synthetic batch stream (one WAL record per batch,
-  /// exactly what a durable service session appends per IngestBatch ack).
-  int64_t num_batches = 96;
-  int64_t batch_events = 128;
-  int64_t num_users = 6000;
-  int64_t num_merchants = 4000;
-  /// Group-commit interval for the `batch` fsync policy measurement.
-  int64_t group_commit_records = 16;
-  /// Segment rotation threshold — small so rotation cost is in the number.
-  uint64_t segment_bytes = 256 * 1024;
-  int repeats = 3;
-  /// Directory for the transient WAL segments; empty = system temp.
-  std::string scratch_dir;
-};
+/// Ensemble bench (BENCH_ensemble.json, schema 3): the zero-
+/// materialization hot path on the configured pool, member-throughput
+/// scaling rows at 1/2/4/all-hardware threads (the wide arm clamped to
+/// the runner's true core count and its resolved width recorded), the
+/// materializing reference path, per-ISA SIMD kernel rows, arena-reuse
+/// counts and a dispatch block (CPU / detected / active ISA level). Fails
+/// with Internal if the hot path diverges from the reference, or if votes
+/// are not identical across every runnable SIMD dispatch level, or across
+/// every timed pool width.
+Result<BenchDocument> RunEnsembleBench(const BenchOptions& options);
 
-/// Headline numbers of the WAL bench, duplicated out of the JSON.
-struct WalBenchSummary {
-  /// Acked events/sec per fsync policy: every event in the number was
-  /// framed, CRC'd, appended, and carried whatever durability the policy
-  /// promises before the (simulated) ack.
-  double acked_events_per_second_none = 0.0;
-  double acked_events_per_second_batch = 0.0;
-  double acked_events_per_second_always = 0.0;
-  /// The untimed replay gate passed (the document refuses to exist
-  /// otherwise, so a written file always carries true).
-  bool replay_identical = false;
-};
+/// Stream bench (BENCH_stream.json, schema 1): the same store+boundary
+/// replay timed twice — dirty-scoped incremental detection (warm
+/// StreamingDetector) vs a full rebuild (cold detector per boundary) —
+/// plus reuse statistics. Before anything is timed it verifies, at every
+/// detection boundary, that the incremental report is bit-identical
+/// (votes, weighted votes, member structural stats) to the full rerun,
+/// failing with Internal on any divergence or on zero component reuse.
+Result<BenchDocument> RunStreamBench(const BenchOptions& options);
 
-/// Runs the peeling bench (the seed peeler and materializing FDET — the
-/// `adjacency_*` rows — vs the in-place peeler and FDET — the `csr_*` rows;
-/// single peel + full FDET, all on the same graph) and returns the
-/// BENCH_peeling.json document. Fails with Internal if the in-place
-/// results are not identical to the seed's.
-Result<std::string> RunPeelingBench(const PeelingBenchOptions& options);
+/// Observability-overhead bench (BENCH_obs.json, schema 1): the same
+/// single-threaded ensemble run timed with metrics recording enabled (and
+/// a flight recorder installed) vs runtime-disabled, interleaved in
+/// alternating order, plus tight-loop per-record costs for
+/// Counter::Increment, Histogram::Record and a full TraceSpan. Fails with
+/// Internal if the enabled and disabled reports differ in any bit. The
+/// overhead is gated at 2% by tools/check_bench.py.
+Result<BenchDocument> RunObsBench(const BenchOptions& options);
 
-/// Runs the storage bench and returns the BENCH_storage.json document
-/// (schema_version 1): the same dataset1-preset graph loaded three ways —
-/// TSV parse, streaming binary read, and mmap zero-copy open (without and
-/// with fingerprint verification) — plus file sizes and speedups. Before
-/// anything is timed it writes the snapshot and verifies that BOTH
-/// readers reproduce the writer's content fingerprint, refusing to emit
-/// (Internal) on any mismatch.
-Result<std::string> RunStorageBench(const StorageBenchOptions& options,
-                                    StorageBenchSummary* summary = nullptr);
-
-/// Runs the incremental-ingest stream bench and returns the
-/// BENCH_stream.json document (schema_version 1): the same
-/// store+boundary replay timed twice — dirty-scoped incremental detection
-/// (warm StreamingDetector) vs a full rebuild (cold detector per
-/// boundary) — plus reuse statistics. Before anything is timed it
-/// verifies, at *every* detection boundary, that the incremental report
-/// is bit-identical (votes, weighted votes, member structural stats) to
-/// the full rerun, and fails with Internal — refusing to emit — on any
-/// divergence. When `summary` is non-null it receives the headline
-/// numbers.
-Result<std::string> RunStreamBench(const StreamBenchOptions& options,
-                                   StreamBenchSummary* summary = nullptr);
-
-/// Runs the durable-ingest WAL bench and returns the BENCH_wal.json
-/// document (schema_version 1): the same synthetic batch stream appended
-/// through WalWriter three times, once per fsync policy (none / batch /
+/// WAL bench (BENCH_wal.json, schema 1): the same synthetic batch stream
+/// appended through WalWriter once per fsync policy (none / batch /
 /// always), reported as acked events/sec — the price of each durability
 /// level at the IngestBatch ack boundary. Before anything is timed it
-/// writes the full log once, replays it with ReplayWal, and verifies
-/// every record decodes bit-identical to the batch that produced it (seq
-/// chain, timestamps, every transaction); any divergence fails with
-/// Internal, refusing to emit. When `summary` is non-null it receives
-/// the headline numbers.
-Result<std::string> RunWalBench(const WalBenchOptions& options,
-                                WalBenchSummary* summary = nullptr);
-
-struct ObsBenchOptions {
-  PerfGraphSpec graph;
-  /// More repeats than the other benches: the gated quantity is a small
-  /// difference between two timings, so the min needs extra samples to
-  /// shake scheduler noise out. Rounded up to even inside RunObsBench so
-  /// the alternating within-pair order stays balanced.
-  int repeats = 12;
-  int num_samples = 16;
-  double ratio = 0.1;
-};
-
-/// Headline numbers of the observability-overhead bench.
-struct ObsBenchSummary {
-  /// (metrics-on − metrics-off) ÷ metrics-off seconds_min on the same
-  /// ensemble run — the CI-gated overhead (budget: 0.02).
-  double overhead_fraction = 0.0;
-  double seconds_metrics_on = 0.0;
-  double seconds_metrics_off = 0.0;
-  /// Hot-path record costs measured in a tight loop (enabled path).
-  double counter_ns_per_increment = 0.0;
-  double histogram_ns_per_record = 0.0;
-  /// Full TraceSpan open/close — context capture, span-id allocation,
-  /// histogram record, and the flight-recorder ring write.
-  double span_ns_per_record = 0.0;
-};
-
-/// Runs the observability-overhead bench and returns the BENCH_obs.json
-/// document (schema_version 1): the same zero-materialization ensemble
-/// run timed with metrics recording enabled vs runtime-disabled (one
-/// process, SetMetricsRuntimeEnabled), plus tight-loop per-record costs
-/// for Counter::Increment and Histogram::Record. Before anything is
-/// timed it verifies the enabled and disabled runs produce bit-identical
-/// reports — instrumentation must never perturb results — and fails with
-/// Internal, refusing to emit, on any divergence. The enabled-vs-disabled
-/// overhead is CI-gated at 2% by tools/check_bench.py.
-Result<std::string> RunObsBench(const ObsBenchOptions& options,
-                                ObsBenchSummary* summary = nullptr);
-
-/// Runs the ensemble bench and returns the BENCH_ensemble.json document
-/// (schema_version 3): zero-materialization hot path on the configured
-/// pool, member-throughput scaling rows at 1/2/4/all-hardware threads
-/// (the wide arm clamped to the runner's true core count and its
-/// resolved width recorded), the materializing reference path, per-ISA
-/// SIMD kernel rows, and a dispatch block (CPU / detected / active ISA
-/// level). Fails with Internal — refusing to emit — if the hot path
-/// diverges from the reference, OR if votes are not identical across
-/// every runnable SIMD dispatch level, OR across every timed pool width.
-/// When `summary` is non-null it receives the headline numbers.
-Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
-                                     EnsembleBenchSummary* summary = nullptr);
+/// replays the log and verifies every record decodes bit-identical to the
+/// batch that produced it, failing with Internal otherwise.
+Result<BenchDocument> RunWalBench(const BenchOptions& options);
 
 /// Writes `text` to `path` (overwriting); IOError on failure.
 Status WriteTextFile(const std::string& path, const std::string& text);

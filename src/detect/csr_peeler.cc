@@ -145,39 +145,29 @@ void ReserveTo(std::vector<T>* v, int64_t n, int64_t* grew) {
 
 }  // namespace
 
-int64_t PeelScratch::Prepare(const CsrGraph& graph) {
-  const int64_t users = graph.num_users();
-  const int64_t merchants = graph.num_merchants();
-  const int64_t nodes = graph.num_nodes();
-  int64_t grew = 0;
-  GrowTo(&user_degree, users, &grew);
-  GrowTo(&merchant_degree, merchants, &grew);
-  GrowTo(&col_weight, merchants, &grew);
-  GrowTo(&priority, nodes, &grew);
-  GrowTo(&removed, nodes, &grew);
-  GrowTo(&gone, nodes, &grew);
-  if (heap.EnsureCapacity(nodes)) ++grew;
-  GrowTo(&dense_of, merchants, &grew);
-  ReserveTo(&incident_users, users, &grew);
-  ReserveTo(&incident_merchants, merchants, &grew);
-  ReserveTo(&removal_order, nodes, &grew);
-  GrowTo(&in_block_user, users, &grew);
-  GrowTo(&in_block_merchant, merchants, &grew);
-  grow_events += grew;
-  return grew;
-}
-
-int64_t PeelScratch::PrepareView(int64_t mask_size) {
+int64_t PeelScratch::PrepareView(const CsrGraph& graph, int64_t mask_size) {
   // Per-slot buffers are sized by the residual (a sampled mask is
-  // ~S·|E|); per-member-node rows by the most nodes a residual of that
-  // size can touch — never more than its edges, nor than the prepared
-  // graph has.
-  const int64_t max_users =
-      std::min(mask_size, static_cast<int64_t>(user_degree.size()));
-  const int64_t max_merchants =
-      std::min(mask_size, static_cast<int64_t>(merchant_degree.size()));
+  // ~S·|E|); per-member-node buffers by the most nodes a residual of that
+  // size can touch — never more than its edges, nor than the graph has.
+  // Only the two arrays SetResidualView indexes by parent merchant id are
+  // sized by the graph.
+  const int64_t max_users = std::min(mask_size, graph.num_users());
+  const int64_t max_merchants = std::min(mask_size, graph.num_merchants());
+  const int64_t max_nodes = max_users + max_merchants;
   int64_t grew = 0;
-  ReserveTo(&view_mask, mask_size, &grew);
+  GrowTo(&merchant_degree, graph.num_merchants(), &grew);
+  GrowTo(&dense_of, graph.num_merchants(), &grew);
+  GrowTo(&user_degree, max_users, &grew);
+  GrowTo(&col_weight, max_merchants, &grew);
+  GrowTo(&priority, max_nodes, &grew);
+  GrowTo(&removed, max_nodes, &grew);
+  GrowTo(&gone, max_nodes, &grew);
+  if (heap.EnsureCapacity(max_nodes)) ++grew;
+  ReserveTo(&incident_users, max_users, &grew);
+  ReserveTo(&incident_merchants, max_merchants, &grew);
+  ReserveTo(&removal_order, max_nodes, &grew);
+  GrowTo(&in_block_user, max_users, &grew);
+  GrowTo(&in_block_merchant, max_merchants, &grew);
   GrowTo(&view_weight_of, mask_size, &grew);
   GrowTo(&view_user_dense, mask_size, &grew);
   GrowTo(&view_merchant_dense, mask_size, &grew);
@@ -200,15 +190,14 @@ int64_t PeelScratch::PrepareView(int64_t mask_size) {
 CsrPeeler::CsrPeeler(const CsrGraph& graph, PeelScratch* scratch)
     : graph_(&graph), s_(scratch) {
   ENSEMFDET_DCHECK(scratch != nullptr);
-  s_->Prepare(graph);
 }
 
 void CsrPeeler::SetResidualView(std::span<const EdgeId> mask) {
   const CsrGraph& graph = *graph_;
   PeelScratch& s = *s_;
-  s.PrepareView(static_cast<int64_t>(mask.size()));
-  s.view_mask.assign(mask.begin(), mask.end());
-  const int64_t mask_size = static_cast<int64_t>(s.view_mask.size());
+  mask_ = mask;
+  const int64_t mask_size = static_cast<int64_t>(mask.size());
+  s.PrepareView(graph, mask_size);
 
   // Pass 1 — the one pass of parent-array gathers per member: edge
   // weights, member-dense user numbering (the ascending mask groups by
@@ -218,9 +207,9 @@ void CsrPeeler::SetResidualView(std::span<const EdgeId> mask) {
   s.member_users.clear();
   s.incident_merchants.clear();
   for (int64_t i = 0; i < mask_size; ++i) {
-    const EdgeId e = s.view_mask[static_cast<size_t>(i)];
+    const EdgeId e = mask[static_cast<size_t>(i)];
     ENSEMFDET_DCHECK(e >= 0 && e < graph.num_edges());
-    ENSEMFDET_DCHECK(i == 0 || s.view_mask[static_cast<size_t>(i - 1)] < e);
+    ENSEMFDET_DCHECK(i == 0 || mask[static_cast<size_t>(i - 1)] < e);
     s.view_weight_of[static_cast<size_t>(i)] = graph.edge_weight(e);
     const UserId u = graph.edge_user(e);
     if (s.member_users.empty() || s.member_users.back() != u) {
@@ -258,8 +247,7 @@ void CsrPeeler::SetResidualView(std::span<const EdgeId> mask) {
     offset += s.merchant_degree[v];
   }
   for (int64_t i = 0; i < mask_size; ++i) {
-    const MerchantId v =
-        graph.edge_merchant(s.view_mask[static_cast<size_t>(i)]);
+    const MerchantId v = graph.edge_merchant(mask[static_cast<size_t>(i)]);
     const int32_t j = s.dense_of[v];
     const int64_t slot = s.member_merchant_end[j]++;
     s.view_merchant_dense[static_cast<size_t>(i)] =
@@ -275,7 +263,7 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
                                       double weight_scale, bool keep_trace) {
   PeelResult result;
   PeelScratch& s = *s_;
-  const int64_t mask_size = static_cast<int64_t>(s.view_mask.size());
+  const int64_t mask_size = static_cast<int64_t>(mask_.size());
   if (mask_size == 0) return result;
   const int64_t num_users = s.member_user_count;  // member-space Uₘ
 

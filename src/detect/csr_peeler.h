@@ -129,17 +129,24 @@ class PeelHeap {
 
 /// Externally ownable arena of every buffer CsrPeeler (and the FDET
 /// driver, detect/fdet.h) needs: degree/priority/flag arrays, the peel
-/// heap and the residual-view rows. Prepare() and PrepareView() grow
-/// buffers to fit a graph and a residual and count growth events, so a
-/// warm arena reused across many peels reports zero further allocations —
-/// the number the ensemble bench surfaces as `arena.grow_events`.
+/// heap and the residual-view rows. PrepareView() grows buffers to fit a
+/// residual and counts growth events, so a warm arena reused across many
+/// peels reports zero further allocations — the number the ensemble bench
+/// surfaces as `arena.grow_events`.
 ///
-/// Invariants between uses (established by Prepare on fresh storage and
-/// restored by every peel / FDET run): `user_degree`, `merchant_degree`,
-/// `gone`, `in_block_user`, `in_block_merchant` and `view_alive` /
-/// `view_alive_m` are all-zero over their prepared extent and the heap is
-/// empty. Buffers never shrink; an arena sized for one graph is warm for
-/// any graph with no more users/merchants.
+/// Every per-node buffer is indexed by *member-dense* ids and sized by
+/// the residual (at most min(|mask|, |U|) users and min(|mask|, |V|)
+/// merchants), not by the parent graph; only `merchant_degree` and
+/// `dense_of`, which SetResidualView indexes by parent merchant id, are
+/// parent-merchant sized.
+///
+/// Invariants between uses (established by PrepareView on fresh storage
+/// and restored by every peel / FDET run): `user_degree`,
+/// `merchant_degree`, `gone`, `in_block_user`, `in_block_merchant` and
+/// `view_alive` / `view_alive_m` are all-zero over their prepared extent
+/// and the heap is empty. Buffers never shrink; an arena sized for one
+/// residual is warm for any residual no larger, of a graph with no more
+/// merchants.
 ///
 /// @note Thread-safety: an arena is mutable state — one per thread.
 struct PeelScratch {
@@ -169,8 +176,8 @@ struct PeelScratch {
   /// materialized child, without building one. The member numbering is
   /// monotone in parent id on each side, so member-space heap
   /// tie-breaks, sorts, and ascending outputs map 1:1 onto parent-space
-  /// ones.
-  std::vector<EdgeId> view_mask;             ///< slot → parent EdgeId (asc)
+  /// ones. Slot i is the caller's mask[i]; the mask itself is borrowed,
+  /// not copied.
   std::vector<double> view_weight_of;        ///< edge weight per mask slot
   std::vector<int32_t> view_user_dense;      ///< member user id per slot
   std::vector<int32_t> view_merchant_dense;  ///< packed Uₘ+j per slot
@@ -189,23 +196,18 @@ struct PeelScratch {
   /// Uₘ of the current view (member merchant packed ids start here).
   int64_t member_user_count = 0;
 
-  /// Cumulative count of buffer growth events across all Prepare() and
-  /// PrepareView() calls; stays flat once the arena is warm for the
-  /// graphs and residuals it serves.
+  /// Cumulative count of buffer growth events across all PrepareView()
+  /// calls; stays flat once the arena is warm for the graphs and
+  /// residuals it serves.
   int64_t grow_events = 0;
 
-  /// Sizes every per-node buffer for `graph` (growing, never shrinking)
-  /// and returns the number of buffers that had to grow (0 when already
-  /// warm). Residual-view buffers are grown by PrepareView.
-  int64_t Prepare(const CsrGraph& graph);
-
-  /// Sizes the residual-view buffers for a residual of `mask_size` edges
-  /// (growing, never shrinking); counted in `grow_events` like Prepare.
-  /// Per-member-node rows get min(mask_size, prepared users or merchants)
+  /// Sizes every buffer for a residual of `mask_size` edges of `graph`
+  /// (growing, never shrinking), adds the number of buffers that had to
+  /// grow to `grow_events` and returns it (0 when already warm).
+  /// Per-member-node buffers get min(mask_size, users or merchants)
   /// entries: a residual touches no more nodes than it has edges, nor
   /// than the graph has.
-  /// @pre Prepare() was called for the graph the residual belongs to.
-  int64_t PrepareView(int64_t mask_size);
+  int64_t PrepareView(const CsrGraph& graph, int64_t mask_size);
 };
 
 /// Reusable in-place peeler over one immutable CsrGraph.
@@ -214,18 +216,19 @@ struct PeelScratch {
 ///       but the scratch arena is mutable — use one arena per thread.
 class CsrPeeler {
  public:
-  /// Borrows `graph` and an arena (both must outlive the peeler). The
-  /// arena is Prepare()d for `graph`; repeated construction against a
-  /// warm arena performs no allocation — the ensemble hot loop's mode.
+  /// Borrows `graph` and an arena (both must outlive the peeler).
+  /// Construction against a warm arena performs no allocation — the
+  /// ensemble hot loop's mode.
   CsrPeeler(const CsrGraph& graph, PeelScratch* scratch);
 
   /// Caches `mask` (the residual edge set — a member's sample, or every
   /// edge of the graph — ascending, duplicate-free) as the residual view:
-  /// one pass of parent gathers renumbers the incident nodes into
-  /// member-dense ids and builds slot-aligned endpoint/weight rows in the
-  /// arena — no allocation when warm, no hash maps, no graph
-  /// construction. Subsequent PeelAliveInView() calls run entirely over
-  /// these compact arrays.
+  /// sizes the arena for it, then one pass of parent gathers renumbers
+  /// the incident nodes into member-dense ids and builds slot-aligned
+  /// endpoint/weight rows in the arena — no allocation when warm, no hash
+  /// maps, no graph construction. Subsequent PeelAliveInView() calls run
+  /// entirely over these compact arrays. The mask is borrowed, not
+  /// copied: it must stay alive and unchanged while the view is used.
   void SetResidualView(std::span<const EdgeId> mask);
 
   /// View-driven peel of the *alive subset* of the residual view: peels
@@ -254,6 +257,7 @@ class CsrPeeler {
  private:
   const CsrGraph* graph_;
   PeelScratch* s_;
+  std::span<const EdgeId> mask_;  // the borrowed residual view's slots
 };
 
 }  // namespace ensemfdet

@@ -168,7 +168,7 @@ Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
   PeelScratch& s = *scratch;
   peeler.SetResidualView(initial_residual);
 
-  const int64_t mask_size = static_cast<int64_t>(s.view_mask.size());
+  const int64_t mask_size = static_cast<int64_t>(initial_residual.size());
   const int32_t member_users = static_cast<int32_t>(s.member_user_count);
   for (int64_t i = 0; i < mask_size; ++i) {
     s.view_alive[static_cast<size_t>(i)] = 1;
@@ -215,7 +215,7 @@ Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
       const int32_t mj =
           s.view_merchant_dense[static_cast<size_t>(i)] - member_users;
       if (s.in_block_user[mu] && s.in_block_merchant[mj]) {
-        added.edges.push_back(s.view_mask[static_cast<size_t>(i)]);
+        added.edges.push_back(initial_residual[static_cast<size_t>(i)]);
         s.view_alive[static_cast<size_t>(i)] = 0;
         s.view_alive_m[static_cast<size_t>(
             s.view_merchant_slot[static_cast<size_t>(i)])] = 0;

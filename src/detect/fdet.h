@@ -120,8 +120,8 @@ Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
 
 /// The seed implementation (rebuilds a compacted subgraph per block
 /// iteration and peels it with PeelDensestBlock). Kept as the
-/// parity/performance reference for tests/csr_parity_test.cc and
-/// bench/bench_peeling.cc — prefer RunFdet.
+/// parity/performance reference for tests/csr_parity_test.cc and the
+/// peeling bench (bench/perf_harness.cc) — prefer RunFdet.
 Result<FdetResult> RunFdetReference(const CsrGraph& graph,
                                     const FdetConfig& config);
 

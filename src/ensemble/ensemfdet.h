@@ -15,7 +15,8 @@
 // its members, so a warm run performs no arena allocations at all. The
 // seed materializing path survives as RunReference() — the bit-exact
 // parity and performance reference (tests/ensemble_parity_test.cc,
-// bench/bench_ensemble.cc), mirroring detect/fdet.h's RunFdetReference.
+// the ensemble bench in bench/perf_harness.cc), mirroring detect/fdet.h's
+// RunFdetReference.
 //
 // Determinism: ensemble member i draws all randomness from
 // Rng(seed).Split(i), and votes are accumulated in member order after the

@@ -319,35 +319,6 @@ CsrGraph CopyFromSpans(const CsrSpans& s, int64_t num_users,
       {s.weights.begin(), s.weights.end()});
 }
 
-/// Shared prologue of both kCsrGraph readers: open, check the payload
-/// kind, parse + cross-check + structurally validate the CSR sections.
-/// Keeping it in one place keeps the two readers' corruption contracts
-/// from diverging.
-struct ValidatedCsr {
-  Raw raw;
-  CsrSpans spans;
-};
-
-Result<ValidatedCsr> OpenValidatedCsr(const std::string& path) {
-  ValidatedCsr v;
-  ENSEMFDET_ASSIGN_OR_RETURN(v.raw, OpenRaw(path));
-  if (v.raw.header.payload_kind !=
-      static_cast<uint32_t>(PayloadKind::kCsrGraph)) {
-    return Status::InvalidArgument(
-        path + " is not a CsrGraph snapshot (payload kind " +
-        std::to_string(v.raw.header.payload_kind) + ")");
-  }
-  ENSEMFDET_ASSIGN_OR_RETURN(
-      v.spans, ParseCsrSections(v.raw, v.raw.header.num_users,
-                                v.raw.header.num_merchants));
-  if (v.spans.num_edges != v.raw.header.num_edges) {
-    return Corrupt("edge sections disagree with the header edge count");
-  }
-  ENSEMFDET_RETURN_NOT_OK(ValidateCsrStructure(
-      v.spans, v.raw.header.num_users, v.raw.header.num_merchants));
-  return v;
-}
-
 }  // namespace
 
 Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {
@@ -363,35 +334,30 @@ Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {
   return info;
 }
 
-Result<CsrGraph> LoadCsrGraphSnapshot(const std::string& path) {
-  obs::TraceSpan span(Metrics().load_seconds, "snapshot_load");
-  ENSEMFDET_ASSIGN_OR_RETURN(ValidatedCsr v, OpenValidatedCsr(path));
-  Metrics().loads_total->Increment();
-  Metrics().bytes_read_total->Increment(
-      static_cast<int64_t>(v.raw.file->size()));
-  CsrGraph graph = CopyFromSpans(v.spans, v.raw.header.num_users,
-                                 v.raw.header.num_merchants);
-  const uint64_t fingerprint = FingerprintGraph(graph);
-  if (fingerprint != v.raw.header.content_fingerprint) {
-    return Corrupt("content fingerprint mismatch (file claims " +
-                   std::to_string(v.raw.header.content_fingerprint) +
-                   ", payload hashes to " + std::to_string(fingerprint) +
-                   ")");
-  }
-  return graph;
-}
-
 Result<MappedCsrGraph> MappedCsrGraph::Open(const std::string& path) {
   obs::TraceSpan span(Metrics().load_seconds, "snapshot_mmap_open");
-  ENSEMFDET_ASSIGN_OR_RETURN(ValidatedCsr v, OpenValidatedCsr(path));
+  ENSEMFDET_ASSIGN_OR_RETURN(Raw raw, OpenRaw(path));
+  if (raw.header.payload_kind !=
+      static_cast<uint32_t>(PayloadKind::kCsrGraph)) {
+    return Status::InvalidArgument(
+        path + " is not a CsrGraph snapshot (payload kind " +
+        std::to_string(raw.header.payload_kind) + ")");
+  }
+  const int64_t num_users = raw.header.num_users;
+  const int64_t num_merchants = raw.header.num_merchants;
+  ENSEMFDET_ASSIGN_OR_RETURN(CsrSpans spans,
+                             ParseCsrSections(raw, num_users, num_merchants));
+  if (spans.num_edges != raw.header.num_edges) {
+    return Corrupt("edge sections disagree with the header edge count");
+  }
+  ENSEMFDET_RETURN_NOT_OK(
+      ValidateCsrStructure(spans, num_users, num_merchants));
   Metrics().loads_total->Increment();
-  Metrics().bytes_read_total->Increment(
-      static_cast<int64_t>(v.raw.file->size()));
+  Metrics().bytes_read_total->Increment(static_cast<int64_t>(raw.file->size()));
   MappedCsrGraph mapped;
-  mapped.fingerprint_ = v.raw.header.content_fingerprint;
-  mapped.file_bytes_ = v.raw.file->size();
-  mapped.graph_ = ViewFromSpans(v.spans, v.raw.header.num_users,
-                                v.raw.header.num_merchants, v.raw.file);
+  mapped.fingerprint_ = raw.header.content_fingerprint;
+  mapped.file_bytes_ = raw.file->size();
+  mapped.graph_ = ViewFromSpans(spans, num_users, num_merchants, raw.file);
   return mapped;
 }
 

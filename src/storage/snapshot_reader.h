@@ -1,15 +1,13 @@
 // Snapshot readers for the .efg container (storage/snapshot_format.h):
 //
 //   * ReadSnapshotInfo      — cheap header probe (kind, shape, fingerprint)
-//   * LoadCsrGraphSnapshot  — streaming reader: one buffered read into
-//                             owned arrays; validates structure AND
-//                             re-verifies the content fingerprint.
-//   * MappedCsrGraph        — zero-copy reader: mmaps the file and serves
-//                             the CsrGraph accessor API directly off the
-//                             mapping (validated structurally on Open;
-//                             fingerprint verification is a separate —
-//                             also O(|E|) — call so callers can time /
-//                             skip it for trusted local snapshots).
+//   * MappedCsrGraph        — the one CsrGraph reader: mmaps the file and
+//                             serves the CsrGraph accessor API directly
+//                             off the mapping (validated structurally on
+//                             Open; fingerprint verification is a
+//                             separate — also O(|E|) — call so callers
+//                             can time / skip it for trusted local
+//                             snapshots).
 //   * ReadGraphVersionSnapshot / ReadStoreCheckpoint — parts structs the
 //     ingest layer reassembles into GraphVersion / DynamicGraphStore
 //     (storage sits below ingest, so those types can't appear here).
@@ -48,11 +46,6 @@ struct SnapshotInfo {
 
 /// Reads and sanity-checks the 64-byte header only.
 Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path);
-
-/// Streaming reader: loads a kCsrGraph snapshot into an owning CsrGraph
-/// (one buffered read + per-array copies). Fully validates the CSR
-/// structure and verifies the content fingerprint.
-Result<CsrGraph> LoadCsrGraphSnapshot(const std::string& path);
 
 /// Zero-copy reader: the returned object owns the file mapping, and
 /// `graph()` is a CsrGraph *view* whose arrays live in the mapping.

@@ -3,9 +3,9 @@
 
 Usage:
     tools/check_trace.py TRACE.json [--expect-root NAME=COUNT]...
-                         [--max-skew-us US] [--report]
+                         [--max-skew-us US]
     tools/check_trace.py --flight DUMP.bin [--min-records N]
-                         [--expect-crash-signal SIG] [--report]
+                         [--expect-crash-signal SIG]
 
 JSON mode consumes a Chrome trace_event file written by the engine's
 --trace-out and checks the *causal* layer on top of the timeline:
@@ -23,9 +23,9 @@ JSON mode consumes a Chrome trace_event file written by the engine's
   * --expect-root NAME=COUNT pins the number of root spans with that
     name (CI: detect --repeat=N must yield exactly N service_job roots).
 
---report additionally prints per-trace latency attribution: per-stage
-self-time rollups (span duration minus same-trace children) and the
-critical path from root to the deepest-finishing leaf.
+The checks are structural only; latency attribution (self-time
+rollups, critical path, flight-dump totals) is `ensemfdet_cli
+trace-report`'s job.
 
 Flight mode parses the binary black box (format: DESIGN.md "Causal
 tracing & flight recorder"; layout constants mirrored from
@@ -97,7 +97,7 @@ def load_trace(path):
     return events
 
 
-def validate_json(path, events, expect_roots, max_skew_us, report):
+def validate_json(path, events, expect_roots, max_skew_us):
     spans = []
     flows = {}  # id -> [s_count, f_count]
     for event in events:
@@ -177,60 +177,6 @@ def validate_json(path, events, expect_roots, max_skew_us, report):
     print(f"check_trace: OK {path}: {len(spans)} spans, "
           f"{len(traces)} trace(s), {len(flows)} flow pair(s), "
           f"roots: {root_counts}")
-    if report:
-        print_report(traces, by_span)
-
-
-def print_report(traces, by_span):
-    """Per-trace latency attribution: self-time rollups + critical path."""
-    for trace, members in sorted(traces.items()):
-        root = next(s for s in members if s.parent == 0)
-        children = {}
-        for s in members:
-            if s.parent:
-                children.setdefault(s.parent, []).append(s)
-        # Self time = own duration minus time covered by direct children
-        # (children of one parent may overlap each other when they ran in
-        # parallel on the pool, so merge their intervals first).
-        self_by_name = {}
-        for s in members:
-            covered = 0.0
-            intervals = sorted((c.ts, c.ts + c.dur)
-                               for c in children.get(s.span, ()))
-            end = None
-            for lo, hi in intervals:
-                lo = max(lo, s.ts)
-                hi = min(hi, s.ts + s.dur)
-                if hi <= lo:
-                    continue
-                if end is None or lo > end:
-                    covered += hi - lo
-                    end = hi
-                elif hi > end:
-                    covered += hi - end
-                    end = hi
-            self_time = max(0.0, s.dur - covered)
-            acc = self_by_name.setdefault(s.name, [0.0, 0])
-            acc[0] += self_time
-            acc[1] += 1
-        print(f"\ntrace {trace:032x}  root={root.name}  "
-              f"total={root.dur / 1e3:.3f}ms")
-        print(f"  {'stage':<28} {'count':>5} {'self_ms':>10} {'%root':>6}")
-        for name, (self_us, count) in sorted(self_by_name.items(),
-                                             key=lambda kv: -kv[1][0]):
-            pct = 100.0 * self_us / root.dur if root.dur else 0.0
-            print(f"  {name:<28} {count:>5} {self_us / 1e3:>10.3f} "
-                  f"{pct:>5.1f}%")
-        # Critical path: from the root, repeatedly descend into the child
-        # that finishes last — the chain that bounded this trace's latency.
-        path = [root]
-        while True:
-            kids = children.get(path[-1].span)
-            if not kids:
-                break
-            path.append(max(kids, key=lambda c: c.ts + c.dur))
-        print("  critical path: " +
-              " -> ".join(f"{s.name}({s.dur / 1e3:.3f}ms)" for s in path))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +208,7 @@ def load_flight(path):
     return blob
 
 
-def validate_flight(path, blob, min_records, expect_signal, report):
+def validate_flight(path, blob, min_records, expect_signal):
     check(len(blob) >= HEADER_BYTES, f"{path}: shorter than the header")
     (magic, version, record_bytes, ring_records, max_threads, max_names,
      name_bytes, dropped, crash_signal, reason_len, reason_raw) = \
@@ -356,27 +302,6 @@ def validate_flight(path, blob, min_records, expect_signal, report):
           f"dropped={dropped}, crash_signal={crash_signal}, "
           f"reason={crash_reason!r}, "
           f"footer={'%d %r' % (footer_signal, footer_reason) if has_footer else 'absent'}")
-    if report:
-        counts = {}
-        for slot in range(max_threads):
-            base = slots_base + slot * stride
-            next_seq, _tid, active = struct.unpack_from(SLOT_FMT, blob, base)
-            if not active:
-                continue
-            lo = next_seq - min(next_seq, ring_records)
-            for seq in range(lo, next_seq):
-                off = (base + SLOT_HEADER_BYTES +
-                       (seq % ring_records) * RECORD_BYTES)
-                rec = struct.unpack_from(RECORD_FMT, blob, off)
-                if rec[8] != seq:
-                    continue
-                name = names.get(rec[6], f"#{rec[6]}")
-                acc = counts.setdefault(name, [0, 0])
-                acc[0] += 1
-                acc[1] += rec[5]
-        print(f"  {'span':<28} {'count':>6} {'total_ms':>10}")
-        for name, (n, ns) in sorted(counts.items(), key=lambda kv: -kv[1][1]):
-            print(f"  {name:<28} {n:>6} {ns / 1e6:>10.3f}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +321,6 @@ def main():
                         help="flight mode: minimum retained records")
     parser.add_argument("--expect-crash-signal", type=int, default=None,
                         help="flight mode: require this crash signal marker")
-    parser.add_argument("--report", action="store_true",
-                        help="print latency attribution / span rollups")
     args = parser.parse_args()
 
     expect_roots = {}
@@ -410,11 +333,10 @@ def main():
     try:
         if args.flight:
             validate_flight(args.path, load_flight(args.path),
-                            args.min_records, args.expect_crash_signal,
-                            args.report)
+                            args.min_records, args.expect_crash_signal)
         else:
             validate_json(args.path, load_trace(args.path), expect_roots,
-                          args.max_skew_us, args.report)
+                          args.max_skew_us)
     except CheckFailure as failure:
         print(f"check_trace: FAIL: {failure}", file=sys.stderr)
         return 1

@@ -46,6 +46,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/ensemfdet.h"
@@ -1422,28 +1423,19 @@ int CmdTraceReport(Flags& flags) {
 }
 
 // ---------------------------------------------------------------------------
-// bench-report: emit the BENCH_peeling.json / BENCH_ensemble.json perf
-// baselines (bench/README.md documents the schema; CI validates and
-// uploads them). The measurements live in bench/perf_harness.cc so the
-// standalone bench binaries report identical numbers.
+// bench-report: the one producer of the BENCH_*.json perf baselines
+// (bench/README.md documents the schema; CI validates and uploads them).
+// The measurements and the JSON writer live in bench/perf_harness.cc.
 // ---------------------------------------------------------------------------
 int CmdBenchReport(Flags& flags) {
-  bench::PerfGraphSpec graph_spec;
-  graph_spec.scale = flags.GetDouble("scale", 0.02);
-  graph_spec.seed = flags.GetUint64("seed", 7);
-  const int repeats = flags.GetInt("repeats", 5);
+  bench::BenchOptions options;
+  options.scale = flags.GetDouble("scale", options.scale);
+  options.seed = flags.GetUint64("seed", options.seed);
+  options.repeats = flags.GetInt("repeats", options.repeats);
+  options.num_samples = flags.GetInt("n", options.num_samples);
+  options.ratio = flags.GetDouble("s", options.ratio);
+  options.threads = flags.GetInt("threads", options.threads);
   const std::string out_dir = flags.GetString("out-dir", ".");
-
-  bench::PeelingBenchOptions peeling;
-  peeling.graph = graph_spec;
-  peeling.repeats = repeats;
-
-  bench::EnsembleBenchOptions ensemble;
-  ensemble.graph = graph_spec;
-  ensemble.repeats = std::max(1, repeats / 2);
-  ensemble.num_samples = flags.GetInt("n", 16);
-  ensemble.ratio = flags.GetDouble("s", 0.1);
-  ensemble.threads = flags.GetInt("threads", 0);
   const std::string metrics_out = flags.GetString("metrics-out", "");
   const std::string trace_out =
       flags.GetString("trace-out", "ensemfdet_trace.json");
@@ -1459,94 +1451,35 @@ int CmdBenchReport(Flags& flags) {
     return 1;
   }
 
-  bench::StreamBenchOptions stream;
-  stream.seed = graph_spec.seed;
-  stream.repeats = std::max(1, repeats / 2);
-
-  bench::StorageBenchOptions storage_options;
-  storage_options.graph = graph_spec;
-  storage_options.repeats = repeats;
-
-  bench::ObsBenchOptions obs_options;
-  obs_options.graph = graph_spec;
-  obs_options.repeats = std::max(repeats, 12);
-  obs_options.num_samples = ensemble.num_samples;
-  obs_options.ratio = ensemble.ratio;
-
-  bench::WalBenchOptions wal_options;
-  wal_options.seed = graph_spec.seed;
-  wal_options.repeats = std::max(1, repeats / 2);
-
-  bench::EnsembleBenchSummary ensemble_summary;
-  bench::StreamBenchSummary stream_summary;
-  bench::StorageBenchSummary storage_summary;
-  bench::ObsBenchSummary obs_summary;
-  bench::WalBenchSummary wal_summary;
-  struct Report {
-    const char* file;
-    Result<std::string> json;
-  } reports[] = {
-      {"BENCH_peeling.json", bench::RunPeelingBench(peeling)},
-      {"BENCH_ensemble.json",
-       bench::RunEnsembleBench(ensemble, &ensemble_summary)},
-      {"BENCH_stream.json", bench::RunStreamBench(stream, &stream_summary)},
-      {"BENCH_storage.json",
-       bench::RunStorageBench(storage_options, &storage_summary)},
-      {"BENCH_obs.json", bench::RunObsBench(obs_options, &obs_summary)},
-      {"BENCH_wal.json", bench::RunWalBench(wal_options, &wal_summary)},
-  };
-  for (Report& report : reports) {
-    if (!report.json.ok()) {
-      std::fprintf(stderr, "error: %s failed\n", report.file);
-      return FailWith(report.json.status());
-    }
-    const std::string path = out_dir + "/" + report.file;
-    Status st = bench::WriteTextFile(path, *report.json);
+  // Every bench runs before any file is written, so a failing one leaves
+  // the previous documents in place.
+  std::vector<bench::BenchDocument> docs;
+  for (auto* run : {bench::RunPeelingBench, bench::RunEnsembleBench,
+                    bench::RunStreamBench, bench::RunStorageBench,
+                    bench::RunObsBench, bench::RunWalBench}) {
+    Result<bench::BenchDocument> doc = run(options);
+    if (!doc.ok()) return FailWith(doc.status());
+    docs.push_back(std::move(*doc));
+  }
+  for (const bench::BenchDocument& doc : docs) {
+    const std::string path = out_dir + "/" + doc.file_name();
+    Status st = bench::WriteTextFile(path, bench::ToJson(doc));
     if (!st.ok()) return FailWith(st);
     std::fprintf(stderr, "[bench-report] wrote %s\n", path.c_str());
   }
-  std::fprintf(stderr,
-               "[bench-report] ensemble zero-materialization vs "
-               "materializing: %.2fx (%.0f members/s, vote parity verified)\n",
-               ensemble_summary.zero_materialization_speedup,
-               ensemble_summary.members_per_second);
-  std::fprintf(stderr,
-               "[bench-report] ensemble arena reuse: %lld allocations "
-               "across a warm run (%.3g per member; 0 == perfect reuse)\n",
-               static_cast<long long>(ensemble_summary.arena_grow_events),
-               ensemble_summary.arena_grow_per_member);
-  std::fprintf(stderr,
-               "[bench-report] stream incremental vs full-rebuild: %.2fx "
-               "(%.0f vs %.0f events/s, %.0f%% component reuse, vote "
-               "parity verified at %lld boundaries)\n",
-               stream_summary.incremental_speedup,
-               stream_summary.events_per_second_incremental,
-               stream_summary.events_per_second_full_rebuild,
-               100.0 * stream_summary.component_reuse_fraction,
-               static_cast<long long>(stream_summary.detections));
-  std::fprintf(stderr,
-               "[bench-report] storage mmap load vs TSV parse: %.1fx "
-               "verified (%.1fx streaming read; %.0f KiB efg vs %.0f KiB "
-               "tsv, fingerprints verified)\n",
-               storage_summary.mmap_verified_speedup_vs_tsv,
-               storage_summary.binary_read_speedup_vs_tsv,
-               storage_summary.efg_bytes / 1024.0,
-               storage_summary.tsv_bytes / 1024.0);
-  std::fprintf(stderr,
-               "[bench-report] observability overhead: %.3g%% metrics-on vs "
-               "metrics-off (budget 2%%; counter %.3g ns/inc, histogram "
-               "%.3g ns/rec, span+flight %.3g ns/span, report parity "
-               "verified)\n",
-               100.0 * obs_summary.overhead_fraction,
-               obs_summary.counter_ns_per_increment,
-               obs_summary.histogram_ns_per_record,
-               obs_summary.span_ns_per_record);
-  std::fprintf(stderr,
-               "[bench-report] wal acked events/s: %.0f none, %.0f batch, "
-               "%.0f always (replay parity verified)\n",
-               wal_summary.acked_events_per_second_none,
-               wal_summary.acked_events_per_second_batch,
-               wal_summary.acked_events_per_second_always);
+  // Headline: every result section of every document, as key=value.
+  for (const bench::BenchDocument& doc : docs) {
+    for (const auto& [section, fields] : doc.sections) {
+      std::ostringstream line;
+      line << std::boolalpha << "[bench-report] " << doc.bench << "."
+           << section << ":";
+      for (const auto& [key, value] : fields) {
+        line << " " << key << "=";
+        std::visit([&line](const auto& v) { line << v; }, value);
+      }
+      std::fprintf(stderr, "%s\n", line.str().c_str());
+    }
+  }
   return FinishObservability(metrics_out, trace_out);
 }
 
